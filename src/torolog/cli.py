@@ -84,10 +84,14 @@ def _as_int(x, what):
     raise InputError(f"{what}: {x!r} is not an integer")
 
 
-def _as_vector(x, what):
+def _as_array(x, what):
     if not isinstance(x, (list, tuple)):
         raise InputError(f"{what}: expected an array, got {x!r}")
-    return tuple(_as_int(v, what) for v in x)
+    return x
+
+
+def _as_vector(x, what):
+    return tuple(_as_int(v, what) for v in _as_array(x, what))
 
 
 def _as_matrix(x, what):
@@ -140,7 +144,8 @@ def monoid_to_json(g):
 def fan_from_json(obj):
     rank = _as_int(_field(obj, "ambient_rank", "fan"), "fan ambient_rank")
     cones = tuple(
-        cone_from_json(c) for c in _field(obj, "cones", "fan")
+        cone_from_json(c)
+        for c in _as_array(_field(obj, "cones", "fan"), "fan cones")
     )
     return Fan(rank, cones)
 
@@ -148,7 +153,9 @@ def fan_from_json(obj):
 def fanmon_from_json(obj):
     rank = _as_int(_field(obj, "rank", "fan of monoids"), "fan rank")
     entries = []
-    for e in _field(obj, "entries", "fan of monoids"):
+    for e in _as_array(
+        _field(obj, "entries", "fan of monoids"), "fan of monoids entries"
+    ):
         entries.append(
             (
                 cone_from_json(_field(e, "cone", "fan entry")),
@@ -568,7 +575,7 @@ def _cmd_round_fiber(payload, args):
     images = payload.get("images")
     if images is not None:
         parsed = []
-        for pair in images:
+        for pair in _as_array(images, "images"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InputError("images must be [radius, angle] pairs")
             radius, angle = pair

@@ -10,17 +10,19 @@ The workhorse is an incremental double description pass (`_dual_description`)
 that converts a half-space description into a generator description; duality,
 intersection and canonicalization are all small compositions of it.  All
 arithmetic is exact (ints, with Fractions only in the ray-reduction step).
+Canonical forms, duals and face lattices are memoized by value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from torolog.lattice import (
-    IntVec,
     hnf_basis,
     kernel_basis,
     lattice_rank,
+    memo,
     primitive,
 )
 
@@ -126,22 +128,16 @@ def _reduce_mod_lineality(v, lin):
             x = [xi - coef * bi for xi, bi in zip(x, b)]
     if not any(x):
         return None
-    den = 1
-    for t in x:
-        den = den * t.denominator // _gcd(den, t.denominator)
+    den = math.lcm(*(t.denominator for t in x))
     return primitive(tuple(int(t * den) for t in x))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
+@memo
 def _canonical_form(d, generators):
+    """``(rays, lineality)`` of the cone in Z^d spanned by a tuple of integer
+    vectors."""
     gens = []
     for v in generators:
-        v = tuple(int(x) for x in v)
         if len(v) != d:
             raise ValueError("generator length does not match the ambient rank")
         if any(v):
@@ -178,13 +174,16 @@ class RationalCone:
     hashing are structural.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_faces")
+    __slots__ = ("ambient_rank", "rays", "lineality")
 
     def __init__(self, ambient_rank, generators=()):
         self.ambient_rank = int(ambient_rank)
-        self.rays, self.lineality = _canonical_form(self.ambient_rank, generators)
-        self._dual = None
-        self._faces = None
+        if self.ambient_rank < 0:
+            raise ValueError(f"ambient rank {self.ambient_rank} is negative")
+        self.rays, self.lineality = _canonical_form(
+            self.ambient_rank,
+            tuple(tuple(int(x) for x in v) for v in generators),
+        )
 
     def generating_vectors(self):
         """Rays plus both signs of the lineality basis: a generating set."""
@@ -209,14 +208,13 @@ class RationalCone:
         )
 
 
+@memo
 def dual_cone(c: RationalCone) -> RationalCone:
     """The dual cone {y : <x, y> >= 0 for all x in c}, in canonical form."""
-    if c._dual is None:
-        dlin, drays = _dual_description(c.ambient_rank, c.generating_vectors())
-        c._dual = RationalCone(
-            c.ambient_rank, tuple(drays) + tuple(dlin) + tuple(_neg(l) for l in dlin)
-        )
-    return c._dual
+    dlin, drays = _dual_description(c.ambient_rank, c.generating_vectors())
+    return RationalCone(
+        c.ambient_rank, tuple(drays) + tuple(dlin) + tuple(_neg(l) for l in dlin)
+    )
 
 
 def contains(c: RationalCone, v) -> bool:
@@ -244,6 +242,7 @@ def is_sharp(c: RationalCone) -> bool:
     return not c.lineality
 
 
+@memo
 def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     """Every face of the cone, from the minimal face up to the cone itself.
 
@@ -252,29 +251,27 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     facet normals, so a breadth-first walk over tight ray-index sets visits
     each face exactly once.  Sorted by (dimension, rays) for determinism.
     """
-    if c._faces is None:
-        facets = dual_cone(c).rays
-        start = frozenset(range(len(c.rays)))
-        labels = {start}
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for f in facets:
-                child = frozenset(i for i in cur if _dot(f, c.rays[i]) == 0)
-                if child != cur and child not in labels:
-                    labels.add(child)
-                    queue.append(child)
-        lin_gens = c.lineality + tuple(_neg(l) for l in c.lineality)
-        out = [
-            RationalCone(
-                c.ambient_rank,
-                tuple(c.rays[i] for i in sorted(label)) + lin_gens,
-            )
-            for label in labels
-        ]
-        out.sort(key=lambda f: (dim(f), f.rays, f.lineality))
-        c._faces = tuple(out)
-    return c._faces
+    facets = dual_cone(c).rays
+    start = frozenset(range(len(c.rays)))
+    labels = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        for f in facets:
+            child = frozenset(i for i in cur if _dot(f, c.rays[i]) == 0)
+            if child != cur and child not in labels:
+                labels.add(child)
+                queue.append(child)
+    lin_gens = c.lineality + tuple(_neg(l) for l in c.lineality)
+    out = [
+        RationalCone(
+            c.ambient_rank,
+            tuple(c.rays[i] for i in sorted(label)) + lin_gens,
+        )
+        for label in labels
+    ]
+    out.sort(key=lambda f: (dim(f), f.rays, f.lineality))
+    return tuple(out)
 
 
 def is_face_of(f: RationalCone, c: RationalCone) -> bool:

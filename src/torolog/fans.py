@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 from .cones import RationalCone, contains, dim, dual_cone, intersect, is_sharp
 from .cones import faces as cone_faces
-from .lattice import mat_identity, pairing
+from .lattice import mat_identity, pairing, solve_integer
 from .monoids import (
     GhostReport,
     ToricMonoid,
     _face_with_indices,
+    _gp_matrix,
     ghost,
     gp,
     hilbert_basis,
@@ -66,6 +67,8 @@ class Fan:
     __slots__ = ("ambient_rank", "cones")
 
     def __init__(self, ambient_rank, cones):
+        if ambient_rank < 0:
+            raise ValueError(f"ambient rank {ambient_rank} is negative")
         seen = set()
         for c in cones:
             if not isinstance(c, RationalCone):
@@ -101,6 +104,8 @@ class FanOfMonoids:
     __slots__ = ("exponent_rank", "entries")
 
     def __init__(self, exponent_rank, entries):
+        if exponent_rank < 0:
+            raise ValueError(f"rank {exponent_rank} is negative")
         cleaned = []
         for cone, monoid in entries:
             if not isinstance(cone, RationalCone) or not isinstance(
@@ -158,7 +163,7 @@ def validate_fan(f: Fan) -> ValidationReport:
     failures = []
     present = set(f.cones)
     for c in f.cones:
-        if not is_sharp_cone(c):
+        if not is_sharp(c):
             failures.append(
                 ValidationFailure("not-sharp", f"cone {c!r} has lineality")
             )
@@ -183,10 +188,6 @@ def validate_fan(f: Fan) -> ValidationReport:
                     )
                 )
     return ValidationReport(tuple(failures))
-
-
-def is_sharp_cone(c: RationalCone) -> bool:
-    return is_sharp(c)
 
 
 def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
@@ -264,19 +265,13 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
-def _coordinate_monoid(g: ToricMonoid):
-    """Rewrite a monoid on a basis of its own generated group.
-
-    Returns ``(monoid in Z^k, basis matrix columns)`` where ``k`` is the rank
-    of gp(g); the monoid then has full generated group by construction.
-    """
-    from .lattice import solve_integer
-
-    basis = gp(g)
-    k = len(basis)
-    bmat = tuple(tuple(b[i] for b in basis) for i in range(g.ambient_rank))
-    coords = tuple(solve_integer(bmat, v) for v in g.generators)
-    return ToricMonoid(k, coords), bmat
+def _coordinate_monoid(g: ToricMonoid) -> ToricMonoid:
+    """Rewrite a monoid on a basis of its own generated group: a monoid in
+    Z^k, k the rank of gp(g), with full generated group by construction."""
+    bmat = _gp_matrix(g)
+    return ToricMonoid(
+        len(gp(g)), tuple(solve_integer(bmat, v) for v in g.generators)
+    )
 
 
 def affine_atlas(g: ToricMonoid) -> FanOfMonoids:
@@ -287,7 +282,7 @@ def affine_atlas(g: ToricMonoid) -> FanOfMonoids:
     coordinates of the generated group, so its entries always have full
     generated group regardless of how ``g`` sits in its ambient lattice.
     """
-    inner, _ = _coordinate_monoid(g)
+    inner = _coordinate_monoid(g)
     w = weight_cone(inner)
     entries = []
     for tau in cone_faces(w):

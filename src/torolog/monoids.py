@@ -3,10 +3,11 @@
 A :class:`ToricMonoid` is stored as a finite generating set inside ``Z^d``.
 Everything else — membership certificates, the generated group, the face
 lattice, saturation, localization, ghost quotients — is computed exactly on
-demand and cached on the instance.
+demand; what the other computations reuse is memoized by the monoid's value.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ from .lattice import (
     hnf_basis,
     lattice_rank,
     mat_vec,
+    memo,
     pairing,
-    quotient_invariants,
     snf,
     solve_integer,
 )
@@ -55,17 +56,11 @@ class ToricMonoid:
     :func:`monoid_equal` for semantic comparison.
     """
 
-    __slots__ = (
-        "ambient_rank",
-        "generators",
-        "_cone",
-        "_gp",
-        "_gp_matrix",
-        "_faces",
-        "_splitting",
-    )
+    __slots__ = ("ambient_rank", "generators")
 
     def __init__(self, ambient_rank, generators):
+        if ambient_rank < 0:
+            raise ValueError(f"ambient rank {ambient_rank} is negative")
         cleaned = set()
         for v in generators:
             v = tuple(int(x) for x in v)
@@ -77,11 +72,6 @@ class ToricMonoid:
                 cleaned.add(v)
         self.ambient_rank = ambient_rank
         self.generators = tuple(sorted(cleaned))
-        self._cone = None
-        self._gp = None
-        self._gp_matrix = None
-        self._faces = None
-        self._splitting = None
 
     def __eq__(self, other):
         if not isinstance(other, ToricMonoid):
@@ -129,11 +119,10 @@ class GhostReport:
     sharp_generators: tuple
 
 
+@memo
 def exponent_cone(g: ToricMonoid) -> RationalCone:
     """The rational cone spanned by the generators."""
-    if g._cone is None:
-        g._cone = RationalCone(g.ambient_rank, g.generators)
-    return g._cone
+    return RationalCone(g.ambient_rank, g.generators)
 
 
 def weight_cone(g: ToricMonoid) -> RationalCone:
@@ -141,21 +130,17 @@ def weight_cone(g: ToricMonoid) -> RationalCone:
     return dual_cone(exponent_cone(g))
 
 
+@memo
 def gp(g: ToricMonoid) -> IntMat:
     """A canonical basis of the group generated by the monoid."""
-    if g._gp is None:
-        g._gp = hnf_basis(g.generators)
-    return g._gp
+    return hnf_basis(g.generators)
 
 
+@memo
 def _gp_matrix(g: ToricMonoid):
     """Basis of gp(g) as a matrix with the basis vectors for columns."""
-    if g._gp_matrix is None:
-        basis = gp(g)
-        g._gp_matrix = tuple(
-            tuple(b[i] for b in basis) for i in range(g.ambient_rank)
-        )
-    return g._gp_matrix
+    basis = gp(g)
+    return tuple(tuple(b[i] for b in basis) for i in range(g.ambient_rank))
 
 
 def _nonneg_rational_combination(vectors, target):
@@ -209,8 +194,9 @@ def _solve_exact(cols, target, d):
     return [rows[r][k] for r in pivot_rows]
 
 
+@memo
 def _splitting(g: ToricMonoid):
-    """Unit/sharp decomposition used by the membership search.
+    """Unit/sharp decomposition used by the membership search and ``edge``.
 
     Returns ``(unit_idx, sharp_idx, w, unit_columns, relieve)`` where ``w`` is
     a functional vanishing exactly on the units among all generators, and
@@ -218,8 +204,6 @@ def _splitting(g: ToricMonoid):
     ``sum(relieve[j] * unit_j) == 0``, used to shift integer coefficients on
     the unit generators into the nonnegative range.
     """
-    if g._splitting is not None:
-        return g._splitting
     cone = exponent_cone(g)
     unit_idx = tuple(
         i
@@ -243,23 +227,14 @@ def _splitting(g: ToricMonoid):
             if combo is None:  # pragma: no cover - units span a linear space
                 raise RuntimeError("unit generators do not close up")
             combo[j] += 1
-            denom = 1
-            for c in combo:
-                denom = denom * c.denominator // _gcd2(denom, c.denominator)
+            denom = math.lcm(*(c.denominator for c in combo))
             for i, c in enumerate(combo):
                 total[i] += int(c * denom)
         relieve = tuple(total)
     unit_columns = tuple(
         tuple(u[i] for u in units) for i in range(g.ambient_rank)
     )
-    g._splitting = (unit_idx, sharp_idx, w, unit_columns, relieve)
-    return g._splitting
-
-
-def _gcd2(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return unit_idx, sharp_idx, w, unit_columns, relieve
 
 
 def membership(g: ToricMonoid, m) -> "tuple | None":
@@ -339,17 +314,13 @@ def membership(g: ToricMonoid, m) -> "tuple | None":
 
 def edge(g: ToricMonoid) -> MonoidFace:
     """The minimal face: the submonoid of units, which is a group."""
-    cone = exponent_cone(g)
-    idx = tuple(
-        i
-        for i, v in enumerate(g.generators)
-        if contains(cone, tuple(-x for x in v))
-    )
+    idx = _splitting(g)[0]
     return MonoidFace(
         ToricMonoid(g.ambient_rank, tuple(g.generators[i] for i in idx)), idx
     )
 
 
+@memo
 def faces(g: ToricMonoid) -> tuple:
     """All faces, in bijection with the faces of the exponent cone.
 
@@ -357,22 +328,16 @@ def faces(g: ToricMonoid) -> tuple:
     corresponding cone face; the ordering follows the cone face ordering
     (dimension first), so the edge comes first and the monoid itself last.
     """
-    if g._faces is None:
-        out = []
-        for f in cone_faces(exponent_cone(g)):
-            idx = tuple(
-                i for i, v in enumerate(g.generators) if contains(f, v)
+    out = []
+    for f in cone_faces(exponent_cone(g)):
+        idx = tuple(i for i, v in enumerate(g.generators) if contains(f, v))
+        out.append(
+            MonoidFace(
+                ToricMonoid(g.ambient_rank, tuple(g.generators[i] for i in idx)),
+                idx,
             )
-            out.append(
-                MonoidFace(
-                    ToricMonoid(
-                        g.ambient_rank, tuple(g.generators[i] for i in idx)
-                    ),
-                    idx,
-                )
-            )
-        g._faces = tuple(out)
-    return g._faces
+        )
+    return tuple(out)
 
 
 def _require_face(g: ToricMonoid, f: MonoidFace):
@@ -430,9 +395,7 @@ def hilbert_basis(cone: RationalCone, lattice=None) -> tuple:
             sol = _solve_exact(bmat_cols, r, d)
             if sol is None:
                 raise ValueError("lattice basis must have full rank")
-            denom = 1
-            for c in sol:
-                denom = denom * c.denominator // _gcd2(denom, c.denominator)
+            denom = math.lcm(*(c.denominator for c in sol))
             transformed.append(tuple(int(c * denom) for c in sol))
         inner = hilbert_basis(RationalCone(d, transformed))
         back = tuple(
@@ -569,12 +532,14 @@ def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
     cols = tuple(
         tuple(c[i] for c in face_coords) for i in range(k)
     )
-    invariants = quotient_invariants(k, cols)
     s, u, v = snf(cols)
     diag = [s[i][i] for i in range(min(k, len(face_coords)))]
     nonzero = [i for i, dv in enumerate(diag) if dv != 0]
     torsion_pos = [i for i in nonzero if diag[i] > 1]
     free_pos = [i for i in range(k) if i not in set(nonzero)]
+    invariants = AbelianGroupInvariants(
+        k - len(nonzero), tuple(diag[i] for i in torsion_pos)
+    )
     images = []
     for gen in g.generators:
         y = mat_vec(u, solve_integer(bmat, gen))

@@ -24,6 +24,7 @@ from .lattice import mat_identity, mat_vec, solve_integer, transpose
 from .monoids import (
     ToricMonoid,
     _face_with_indices,
+    _gp_matrix,
     gp,
     membership,
     saturate,
@@ -31,7 +32,6 @@ from .monoids import (
 from .rounding import (
     ComplexPoint,
     RoundingPoint,
-    _basis_columns,
     _combine,
 )
 
@@ -176,7 +176,7 @@ def apply_to_point(mu, g2: ToricMonoid, p):
             "the preimage of the support face is not a face of the source"
         )
 
-    f1mat = _basis_columns(gp(f1.monoid), g1.ambient_rank)
+    f1mat = _gp_matrix(f1.monoid)
     radial = []
     restricted = []
     for b in gp(f2.monoid):
@@ -189,7 +189,7 @@ def apply_to_point(mu, g2: ToricMonoid, p):
         restricted.append(_combine(coords, p.angle))
 
     if isinstance(p, RoundingPoint):
-        m1mat = _basis_columns(gp(g1), g1.ambient_rank)
+        m1mat = _gp_matrix(g1)
         full = []
         for b in gp(g2):
             coords = solve_integer(m1mat, mat_vec(mu, b))

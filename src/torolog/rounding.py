@@ -34,6 +34,7 @@ from .monoids import (
     MonoidFace,
     ToricMonoid,
     _face_with_indices,
+    _gp_matrix,
     _require_face,
     edge,
     faces,
@@ -106,10 +107,6 @@ def _interpret_radius(r):
     if not math.isfinite(value) or value < 0:
         raise ValueError("radii must be finite and nonnegative")
     return value
-
-
-def _basis_columns(basis, ambient_rank):
-    return tuple(tuple(b[i] for b in basis) for i in range(ambient_rank))
 
 
 def _coordinates(basis_columns, v):
@@ -238,11 +235,9 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
 
     # Angular part: interpolate a character of the generated group through
     # the given angles, then verify every generator relation.
-    basis = gp(g)
-    k = len(basis)
-    bmat = _basis_columns(basis, g.ambient_rank)
+    bmat = _gp_matrix(g)
     gen_coords = tuple(_coordinates(bmat, v) for v in g.generators)
-    combos = _solving_combinations(gen_coords, k)
+    combos = _solving_combinations(gen_coords, len(gp(g)))
     theta = tuple(_normalize_angle(_combine(c, angles)) for c in combos)
     for coords, a in zip(gen_coords, angles):
         delta = _combine(coords, theta) - a
@@ -258,14 +253,12 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
             )
 
     # Radial part: same interpolation, with logarithms over the face group.
-    face_basis = gp(face.monoid)
-    kp = len(face_basis)
-    fmat = _basis_columns(face_basis, g.ambient_rank)
+    fmat = _gp_matrix(face.monoid)
     face_coords = tuple(
         _coordinates(fmat, g.generators[i]) for i in support
     )
     logs = tuple(math.log(float(radii[i])) for i in support)
-    rho_combos = _solving_combinations(face_coords, kp)
+    rho_combos = _solving_combinations(face_coords, len(gp(face.monoid)))
     rho = tuple(float(_combine(c, logs)) for c in rho_combos)
     for coords, target in zip(face_coords, logs):
         predicted = float(_combine(coords, rho))
@@ -283,9 +276,7 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
 def _face_coordinates(p, m):
     """Coordinates of ``m`` on the support-face group basis, or None when
     the monomial vanishes at ``p``."""
-    face_basis = gp(p.support_face.monoid)
-    fmat = _basis_columns(face_basis, p.monoid.ambient_rank)
-    return solve_integer(fmat, tuple(m))
+    return solve_integer(_gp_matrix(p.support_face.monoid), tuple(m))
 
 
 def monomial_angle(p, m):
@@ -298,9 +289,7 @@ def monomial_angle(p, m):
     if membership(p.monoid, m) is None:
         raise ValueError(f"{m} is not an element of the monoid")
     if isinstance(p, RoundingPoint):
-        coords = _coordinates(
-            _basis_columns(gp(p.monoid), p.monoid.ambient_rank), m
-        )
+        coords = _coordinates(_gp_matrix(p.monoid), m)
         return _normalize_angle(_combine(coords, p.angle))
     coords = _face_coordinates(p, m)
     if coords is None:
@@ -323,9 +312,7 @@ def evaluate_monomial(p, m):
             radius = 0.0
         else:
             radius = math.exp(sum(c * x for c, x in zip(coords, p.radial_log)))
-        full = _coordinates(
-            _basis_columns(gp(p.monoid), p.monoid.ambient_rank), m
-        )
+        full = _coordinates(_gp_matrix(p.monoid), m)
         turn = _normalize_angle(_combine(full, p.angle))
         return radius, cmath.exp(2j * math.pi * float(turn))
     if coords is None:
@@ -341,8 +328,7 @@ def tau(p: RoundingPoint) -> ComplexPoint:
     The radial data is kept and the character is restricted to the group of
     the support face; all angular data transverse to the face is forgotten.
     """
-    basis = gp(p.monoid)
-    bmat = _basis_columns(basis, p.monoid.ambient_rank)
+    bmat = _gp_matrix(p.monoid)
     restricted = tuple(
         _normalize_angle(_combine(_coordinates(bmat, b), p.angle))
         for b in gp(p.support_face.monoid)
@@ -606,9 +592,8 @@ def strict_restriction_check(
         L = math.lcm(L, t)
     if L == 1:
         L = 2
-    basis = gp(g)
-    k = len(basis)
-    bmat = _basis_columns(basis, g.ambient_rank)
+    k = len(gp(g))
+    bmat = _gp_matrix(g)
     phi_coords = tuple(
         _coordinates(bmat, b) for b in gp(f.monoid)
     )

@@ -443,6 +443,55 @@ def test_round_fiber_rejects_images_off_the_face(tmp_path, capsys):
     assert "different face" in err
 
 
+# -- malformed payloads end in exit 2 with one stderr line ------------------
+
+
+def assert_rejected(capsys, tmp_path, argv, payload, message):
+    code, out, err = invoke(capsys, argv, payload, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {message}\n"
+
+
+def test_fan_check_rejects_cones_that_are_not_an_array(tmp_path, capsys):
+    assert_rejected(
+        capsys, tmp_path, ["fan", "check"], {"ambient_rank": 2, "cones": 5},
+        "fan cones: expected an array, got 5",
+    )
+
+
+def test_fanmon_check_rejects_entries_that_are_not_an_array(tmp_path, capsys):
+    assert_rejected(
+        capsys, tmp_path, ["fanmon", "check"], {"rank": 2, "entries": 5},
+        "fan of monoids entries: expected an array, got 5",
+    )
+
+
+def test_round_fiber_rejects_images_that_are_not_an_array(tmp_path, capsys):
+    payload = {"monoid": NN2_JSON, "face": [0], "images": 5}
+    assert_rejected(
+        capsys, tmp_path, ["round", "fiber"], payload,
+        "images: expected an array, got 5",
+    )
+
+
+def test_cone_dual_rejects_a_negative_ambient_rank(tmp_path, capsys):
+    assert_rejected(
+        capsys, tmp_path, ["cone", "dual"], {"ambient_rank": -1, "rays": []},
+        "ambient rank -1 is negative",
+    )
+
+
+def test_fan_checks_reject_a_negative_rank(tmp_path, capsys):
+    assert_rejected(
+        capsys, tmp_path, ["fan", "check"], {"ambient_rank": -1, "cones": []},
+        "ambient rank -1 is negative",
+    )
+    assert_rejected(
+        capsys, tmp_path, ["fanmon", "check"], {"rank": -1, "entries": []},
+        "rank -1 is negative",
+    )
+
+
 # -- milnor / snc verbs ----------------------------------------------------
 
 

@@ -72,6 +72,11 @@ def test_generator_length_mismatch_raises():
         RationalCone(2, ((1, 0, 0),))
 
 
+def test_negative_ambient_rank_raises():
+    with pytest.raises(ValueError, match="negative"):
+        RationalCone(-1, ())
+
+
 def test_cones_are_usable_as_dict_keys():
     d = {QUADRANT: "a", UPPER_HALF_PLANE: "b"}
     assert d[RationalCone(2, ((0, 1), (1, 0)))] == "a"

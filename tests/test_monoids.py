@@ -54,6 +54,11 @@ def test_generator_length_mismatch_raises():
         ToricMonoid(2, ((1, 0, 0),))
 
 
+def test_negative_ambient_rank_raises():
+    with pytest.raises(ValueError, match="negative"):
+        ToricMonoid(-1, ())
+
+
 def test_structural_equality_and_hash():
     assert ToricMonoid(2, ((1, 0), (0, 1))) == NN2
     assert hash(ToricMonoid(2, ((1, 0), (0, 1)))) == hash(NN2)
