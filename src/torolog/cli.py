@@ -1,5 +1,10 @@
 """Command-line front end: JSON in, text tables or JSON out.
 
+``torolog GROUP VERB [--json] [--input PATH] [--strict-complex]`` is parsed
+by one flat parser and dispatched through ``_VERBS``; ``torolog --help``
+lists every verb.  Each handler builds its JSON rows once, and the text
+table is rendered from those same rows by ``_table``.
+
 Integer matrix entries are written as decimal strings so values survive JSON
 implementations with 53-bit number limits; readers accept plain integers as
 well.  Output ordering is canonical everywhere, so identical inputs produce
@@ -30,7 +35,6 @@ from .monoids import (
     is_saturated,
     prime_ideals,
     saturate,
-    saturation_membership,
 )
 from .monoids import faces as monoid_faces
 from .morphisms import (
@@ -72,15 +76,13 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _as_int(x, what):
-    if isinstance(x, bool):
-        raise InputError(f"{what}: {x!r} is not an integer")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
             return int(x, 10)
         except ValueError:
-            raise InputError(f"{what}: {x!r} is not an integer") from None
+            pass
     raise InputError(f"{what}: {x!r} is not an integer")
 
 
@@ -152,17 +154,14 @@ def fan_from_json(obj):
 
 def fanmon_from_json(obj):
     rank = _as_int(_field(obj, "rank", "fan of monoids"), "fan rank")
-    entries = []
-    for e in _as_array(
+    entries = _as_array(
         _field(obj, "entries", "fan of monoids"), "fan of monoids entries"
-    ):
-        entries.append(
-            (
-                cone_from_json(_field(e, "cone", "fan entry")),
-                monoid_from_json(_field(e, "monoid", "fan entry")),
-            )
-        )
-    return FanOfMonoids(rank, tuple(entries))
+    )
+    return FanOfMonoids(rank, tuple(
+        (cone_from_json(_field(e, "cone", "fan entry")),
+         monoid_from_json(_field(e, "monoid", "fan entry")))
+        for e in entries
+    ))
 
 
 def fanmon_to_json(fm):
@@ -266,30 +265,46 @@ def _vecs(vectors):
     return "; ".join("(" + ", ".join(str(x) for x in v) + ")" for v in vectors)
 
 
-def _table(headers, rows):
-    cells = [tuple(str(c) for c in row) for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
+def _vec(v):
+    return _vecs([v]) if v else "-"
+
+
+def _joined(xs):
+    return ",".join(str(x) for x in xs) or "-"
+
+
+def _braces(xs):
+    return "{" + ",".join(str(x) for x in xs) + "}"
+
+
+def _yes_no(flag):
+    return "yes" if flag else "no"
+
+
+def _table(columns, rows):
+    """Align rows under their headers.  Each column is ``(header, key,
+    format)`` and shows ``format(row[key])``, or the row's position when
+    ``key`` is None."""
+    lines = [[header for header, _, _ in columns]] + [
+        [fmt(i if key is None else row[key]) for _, key, fmt in columns]
+        for i, row in enumerate(rows)
     ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
-    ]
-    for r in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+    widths = [max(len(line[c]) for line in lines) for c in range(len(columns))]
+    return "\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+        for line in lines
+    )
+
+
+_INDEX = ("index", None, str)
 
 
 def _check_output(report):
-    obj = {
-        "ok": report.ok,
-        "failures": [
-            {"code": f.code, "message": f.message} for f in report.failures
-        ],
-    }
+    failures = [{"code": f.code, "message": f.message} for f in report.failures]
+    obj = {"ok": report.ok, "failures": failures}
     if report.ok:
         return 0, obj, "PASS"
-    lines = ["FAIL"] + [f"{f.code}: {f.message}" for f in report.failures]
+    lines = ["FAIL"] + [f"{f['code']}: {f['message']}" for f in failures]
     return 1, obj, "\n".join(lines)
 
 
@@ -305,166 +320,141 @@ def _fiber_json(rep):
     }
 
 
+def _stratum_row(fiber, **fields):
+    """A round report row: ``fields`` and the shape of the stratum's fiber."""
+    return dict(fields, fiber_rank=fiber.torus_rank,
+                components=fiber.components,
+                torsion=list(fiber.invariants.torsion))
+
+
+_FIBER_COLUMNS = (("fiber rank", "fiber_rank", str),
+                  ("components", "components", str))
+
+
 # ---------------------------------------------------------------------------
-# Verb handlers
+# Verb handlers: each returns (exit code, JSON object, text)
 # ---------------------------------------------------------------------------
 
 def _cmd_cone_dual(payload, args):
+    """the dual cone"""
     d = dual_cone(cone_from_json(payload))
-    text = _table(
-        ("field", "value"),
-        (
-            ("ambient_rank", d.ambient_rank),
-            ("dim", dim(d)),
-            ("rays", _vecs(d.rays)),
-            ("lineality", _vecs(d.lineality)),
-        ),
+    obj = cone_to_json(d)
+    fields = (
+        ("ambient_rank", d.ambient_rank),
+        ("dim", dim(d)),
+        ("rays", _vecs(obj["rays"])),
+        ("lineality", _vecs(obj["lineality"])),
     )
-    return 0, cone_to_json(d), text
+    return 0, obj, _table((("field", 0, str), ("value", 1, str)), fields)
 
 
 def _cmd_cone_faces(payload, args):
-    c = cone_from_json(payload)
-    fs = cone_faces(c)
-    subfaces = [
-        [i for i, fi in enumerate(fs) if i != j and is_face_of(fi, fj)]
+    """face lattice with dims and subface relations"""
+    fs = cone_faces(cone_from_json(payload))
+    rows = [
+        dict(
+            cone_to_json(fj),
+            dim=dim(fj),
+            subfaces=[
+                i for i, fi in enumerate(fs) if i != j and is_face_of(fi, fj)
+            ],
+        )
         for j, fj in enumerate(fs)
     ]
-    obj = {
-        "faces": [
-            dict(cone_to_json(f), dim=dim(f), subfaces=subfaces[j])
-            for j, f in enumerate(fs)
-        ]
-    }
-    rows = [
-        (j, dim(f), _vecs(f.rays), _vecs(f.lineality),
-         ",".join(str(i) for i in subfaces[j]) or "-")
-        for j, f in enumerate(fs)
-    ]
-    return 0, obj, _table(
-        ("index", "dim", "rays", "lineality", "subfaces"), rows
-    )
+    columns = (_INDEX, ("dim", "dim", str), ("rays", "rays", _vecs),
+               ("lineality", "lineality", _vecs),
+               ("subfaces", "subfaces", _joined))
+    return 0, {"faces": rows}, _table(columns, rows)
 
 
 def _cmd_monoid_saturate(payload, args):
+    """saturation, saturatedness, normalization-morphism verdict"""
     g = monoid_from_json(payload)
-    sat = saturate(g)
-    for v in sat.generators:
-        if not saturation_membership(g, v):  # pragma: no cover - postcondition
-            raise ValueError(
-                f"saturation generator {v} fails the saturation test"
-            )
-    report = check_morphism(normalization_morphism(g))
+    code, check, _ = _check_output(check_morphism(normalization_morphism(g)))
     obj = dict(
-        monoid_to_json(sat),
+        monoid_to_json(saturate(g)),
         already_saturated=is_saturated(g),
-        normalization_check={
-            "ok": report.ok,
-            "failures": [
-                {"code": f.code, "message": f.message}
-                for f in report.failures
-            ],
-        },
+        normalization_check=check,
     )
-    rows = [(_vecs((v,)),) for v in sat.generators]
-    text = (
-        _table(("generator",), rows)
-        + "\nalready saturated: "
-        + ("yes" if obj["already_saturated"] else "no")
-        + "\nnormalization morphism: "
-        + ("PASS" if report.ok else "FAIL")
-    )
-    return (0 if report.ok else 1), obj, text
+    text = _table((("generator", 0, _vec),), zip(obj["generators"]))
+    text += f"\nalready saturated: {_yes_no(obj['already_saturated'])}"
+    text += f"\nnormalization morphism: {'FAIL' if code else 'PASS'}"
+    return code, obj, text
 
 
 def _cmd_monoid_faces(payload, args):
+    """faces with generators and prime-ideal complements"""
     g = monoid_from_json(payload)
-    fs = monoid_faces(g)
     complement = {
         p.face.generator_indices: p.complement_indices
         for p in prime_ideals(g)
     }
-    obj = {
-        "faces": [
-            {
-                "indices": list(f.generator_indices),
-                "generators": _matrix_out(f.monoid.generators),
-                "prime_complement": list(complement[f.generator_indices]),
-            }
-            for f in fs
-        ]
-    }
     rows = [
-        (
-            i,
-            ",".join(str(j) for j in f.generator_indices) or "-",
-            _vecs(f.monoid.generators),
-            ",".join(str(j) for j in complement[f.generator_indices]) or "-",
-        )
-        for i, f in enumerate(fs)
+        {
+            "indices": list(f.generator_indices),
+            "generators": _matrix_out(f.monoid.generators),
+            "prime_complement": list(complement[f.generator_indices]),
+        }
+        for f in monoid_faces(g)
     ]
-    return 0, obj, _table(
-        ("index", "gen indices", "generators", "prime complement"), rows
-    )
+    columns = (_INDEX, ("gen indices", "indices", _joined),
+               ("generators", "generators", _vecs),
+               ("prime complement", "prime_complement", _joined))
+    return 0, {"faces": rows}, _table(columns, rows)
 
 
 def _cmd_monoid_ghost(payload, args):
+    """ghost rank, torsion, generator images"""
     g, face = _monoid_and_face(payload)
     rep = ghost(g, face)
     inv = rep.invariants
+    images = [
+        {"free": [str(x) for x in free], "torsion": list(tors)}
+        for free, tors in rep.sharp_generators
+    ]
     obj = {
         "face": list(face.generator_indices),
         "rank": inv.rank,
         "torsion": list(inv.torsion),
-        "generator_images": [
-            {"free": [str(x) for x in free], "torsion": list(tors)}
-            for free, tors in rep.sharp_generators
-        ],
+        "generator_images": images,
     }
-    rows = [
-        (_vecs((v,)), _vecs((free,)) if free else "-",
-         ",".join(str(t) for t in tors) or "-")
-        for v, (free, tors) in zip(g.generators, rep.sharp_generators)
-    ]
-    text = (
-        f"rank {inv.rank}, torsion "
-        + ("(" + ", ".join(str(t) for t in inv.torsion) + ")"
-           if inv.torsion else "none")
-        + "\n"
-        + _table(("generator", "free image", "torsion image"), rows)
-    )
+    columns = (("generator", "generator", _vec), ("free image", "free", _vec),
+               ("torsion image", "torsion", _joined))
+    rows = [dict(im, generator=v) for v, im in zip(g.generators, images)]
+    torsion = _vec(inv.torsion) if inv.torsion else "none"
+    text = f"rank {inv.rank}, torsion {torsion}\n" + _table(columns, rows)
     return 0, obj, text
 
 
 def _cmd_fan_check(payload, args):
+    """axiom validation (PASS / failure codes)"""
     return _check_output(validate_fan(fan_from_json(payload)))
 
 
 def _cmd_fanmon_check(payload, args):
+    """chart-compatibility validation"""
     return _check_output(validate_fan_of_monoids(fanmon_from_json(payload)))
 
 
 def _fanmon_output(fm):
-    rows = [
-        (i, dim(c), _vecs(c.rays), _vecs(m.generators))
-        for i, (c, m) in enumerate(fm.entries)
-    ]
-    return (
-        0,
-        fanmon_to_json(fm),
-        _table(("index", "cone dim", "cone rays", "monoid generators"), rows),
-    )
+    columns = (_INDEX, ("cone dim", 0, str), ("cone rays", 1, _vecs),
+               ("monoid generators", 2, _vecs))
+    rows = [(dim(c), c.rays, m.generators) for c, m in fm.entries]
+    return 0, fanmon_to_json(fm), _table(columns, rows)
 
 
 def _cmd_fanmon_atlas(payload, args):
+    """the affine atlas of charts, one per face"""
     return _fanmon_output(affine_atlas(monoid_from_json(payload)))
 
 
 def _cmd_fanmon_normal(payload, args):
+    """the fan of monoids of dual Hilbert bases"""
     return _fanmon_output(normal_fan_of_monoids(fan_from_json(payload)))
 
 
 def _cmd_morphism_check(payload, args):
+    """compatibility report; optional point pushforward"""
     d = morphism_from_json(payload)
     code, obj, text = _check_output(check_morphism(d))
     request = payload.get("point")
@@ -480,91 +470,54 @@ def _cmd_morphism_check(payload, args):
             raise InputError(f"unknown point kind {kind!r}")
         p = _point_from_json(d.source.entries[i][1], request, kind)
         image = apply_to_point(d.nu_dual, d.target.entries[j][1], p)
-        obj = dict(
-            obj, point_image=dict(rounding_point_to_json(image), kind=kind)
-        )
-        face = image.support_face.generator_indices
+        obj["point_image"] = dict(rounding_point_to_json(image), kind=kind)
         text += (
-            "\npoint image: face {"
-            + ",".join(str(v) for v in face)
-            + "}, angles "
-            + ", ".join(_angle_out(a) for a in image.angle)
+            f"\npoint image: face {_braces(obj['point_image']['face'])}, "
+            f"angles {', '.join(obj['point_image']['angle'])}"
         )
     return code, obj, text
 
 
 def _cmd_round_report(payload, args):
+    """per-stratum rounding fibers / polar point strata"""
     if isinstance(payload, dict) and "generators" in payload:
         # A single affine chart: stratify its polar-valued points by face.
         g = monoid_from_json(payload)
         desc = log_point(LogPointKind.POLAR)
-        pts = points_of(g, LogPointKind.POLAR)
+        rows = [
+            _stratum_row(p.fiber, face=list(p.face.generator_indices),
+                         torus_rank=p.torus_rank)
+            for p in points_of(g, LogPointKind.POLAR)
+        ]
         obj = {
             "kind": desc.kind.value,
             "carrier": desc.carrier,
             "evaluation": desc.evaluation,
-            "strata": [
-                {
-                    "face": list(p.face.generator_indices),
-                    "torus_rank": p.torus_rank,
-                    "fiber_rank": p.fiber.torus_rank,
-                    "components": p.fiber.components,
-                    "torsion": list(p.fiber.invariants.torsion),
-                }
-                for p in pts
-            ],
+            "strata": rows,
         }
-        table = _table(
-            ("face", "torus rank", "fiber rank", "components"),
-            [
-                (
-                    "{"
-                    + ",".join(str(i) for i in p.face.generator_indices)
-                    + "}",
-                    p.torus_rank,
-                    p.fiber.torus_rank,
-                    p.fiber.components,
-                )
-                for p in pts
-            ],
-        )
-        return 0, obj, table
+        columns = (("face", "face", _braces),
+                   ("torus rank", "torus_rank", str)) + _FIBER_COLUMNS
+        return 0, obj, _table(columns, rows)
     fm = fanmon_from_json(payload)
     report = validate_fan_of_monoids(fm)
     if not report.ok:
         return _check_output(report)
-    rows = rounding_report(fm)
-    obj = {
-        "strata": [
-            {
-                "rays": _matrix_out(r.cone.rays),
-                "lineality": _matrix_out(r.cone.lineality),
-                "orbit_dimension": r.orbit_dimension,
-                "fiber_rank": r.fiber.torus_rank,
-                "components": r.fiber.components,
-                "torsion": list(r.fiber.invariants.torsion),
-                "boundary": r.boundary,
-            }
-            for r in rows
-        ]
-    }
-    table = _table(
-        ("cone rays", "orbit dim", "fiber rank", "components", "boundary"),
-        [
-            (
-                _vecs(r.cone.rays),
-                r.orbit_dimension,
-                r.fiber.torus_rank,
-                r.fiber.components,
-                "yes" if r.boundary else "no",
-            )
-            for r in rows
-        ],
+    rows = [
+        _stratum_row(r.fiber, rays=_matrix_out(r.cone.rays),
+                     lineality=_matrix_out(r.cone.lineality),
+                     orbit_dimension=r.orbit_dimension, boundary=r.boundary)
+        for r in rounding_report(fm)
+    ]
+    columns = (
+        (("cone rays", "rays", _vecs), ("orbit dim", "orbit_dimension", str))
+        + _FIBER_COLUMNS
+        + (("boundary", "boundary", _yes_no),)
     )
-    return 0, obj, table
+    return 0, {"strata": rows}, _table(columns, rows)
 
 
 def _cmd_round_fiber(payload, args):
+    """fiber rank and component count; optional point encoding"""
     g, face = _monoid_and_face(payload)
     rep = fiber_structure(g, face)
     obj = _fiber_json(rep)
@@ -585,7 +538,9 @@ def _cmd_round_fiber(payload, args):
             raise InputError(
                 "the images are supported on a different face than requested"
             )
-        values = [
+        obj["point"] = rounding_point_to_json(p)
+        obj["tau"] = rounding_point_to_json(tau(p))
+        obj["values"] = [
             {
                 "monomial": [str(x) for x in m],
                 "radius": evaluate_monomial(p, m)[0],
@@ -593,85 +548,54 @@ def _cmd_round_fiber(payload, args):
             }
             for m in g.generators
         ]
-        obj["point"] = rounding_point_to_json(p)
-        obj["tau"] = rounding_point_to_json(tau(p))
-        obj["values"] = values
-        text += "\n" + _table(
-            ("monomial", "radius", "angle"),
-            [
-                (_vecs((m,)), f"{v['radius']:.6g}", v["angle"])
-                for m, v in zip(g.generators, values)
-            ],
-        )
+        columns = (("monomial", "monomial", _vec),
+                   ("radius", "radius", "{:.6g}".format),
+                   ("angle", "angle", str))
+        text += "\n" + _table(columns, obj["values"])
     return (0 if obj["strict_restriction"] else 1), obj, text
 
 
 def _cmd_milnor_strata(payload, args):
+    """stratum fiber of the multiplicity vector"""
     if isinstance(payload, dict):
-        mults = _as_vector(
-            _field(payload, "multiplicities", "milnor input"),
-            "multiplicities",
-        )
-    else:
-        mults = _as_vector(payload, "multiplicities")
-    rep = milnor_stratum_fiber(mults)
+        payload = _field(payload, "multiplicities", "milnor input")
+    rep = milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
     return 0, _fiber_json(rep), _fiber_line(rep)
 
 
-def _complex_rows(rows):
-    return _table(
-        ("simplex", "stratum dim", "fiber rank", "components"),
-        [
-            (
-                "{" + ",".join(str(v) for v in r.simplex) + "}",
-                r.stratum_dimension,
-                r.fiber.torus_rank,
-                r.fiber.components,
-            )
-            for r in rows
-        ],
-    )
+def _simplex_rows(rows):
+    """The JSON rows of an snc report and their text table."""
+    out = [
+        {
+            "simplex": list(r.simplex),
+            "stratum_dimension": r.stratum_dimension,
+            "rank": r.fiber.torus_rank,
+            "components": r.fiber.components,
+        }
+        for r in rows
+    ]
+    columns = (("simplex", "simplex", _braces),
+               ("stratum dim", "stratum_dimension", str),
+               ("fiber rank", "rank", str), ("components", "components", str))
+    return out, _table(columns, out)
 
 
 def _cmd_snc_link(payload, args):
+    """link fibers per simplex"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
-    rows = link_report(dc)
-    obj = {
-        "rows": [
-            {
-                "simplex": list(r.simplex),
-                "stratum_dimension": r.stratum_dimension,
-                "rank": r.fiber.torus_rank,
-                "components": r.fiber.components,
-            }
-            for r in rows
-        ]
-    }
-    return 0, obj, _complex_rows(rows)
+    rows, text = _simplex_rows(link_report(dc))
+    return 0, {"rows": rows}, text
 
 
 def _cmd_snc_milnor(payload, args):
+    """Milnor fibers per simplex, component totals by depth"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
     report = milnor_report(dc)
-    obj = {
-        "rows": [
-            {
-                "simplex": list(r.simplex),
-                "stratum_dimension": r.stratum_dimension,
-                "rank": r.fiber.torus_rank,
-                "components": r.fiber.components,
-            }
-            for r in report.rows
-        ],
-        "components_by_depth": [
-            [depth, total] for depth, total in report.components_by_depth
-        ],
-    }
-    summary = "\n".join(
-        f"depth {depth}: {total} components"
-        for depth, total in report.components_by_depth
-    )
-    return 0, obj, _complex_rows(report.rows) + "\n" + summary
+    rows, text = _simplex_rows(report.rows)
+    depths = report.components_by_depth
+    obj = {"rows": rows, "components_by_depth": [list(d) for d in depths]}
+    summary = "\n".join(f"depth {d}: {n} components" for d, n in depths)
+    return 0, obj, text + "\n" + summary
 
 
 _VERBS = {
@@ -693,63 +617,55 @@ _VERBS = {
 }
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of a text table",
-    )
-    common.add_argument(
-        "--input",
-        metavar="PATH",
-        default=None,
-        help="read the JSON payload from PATH (default: stdin)",
-    )
-
+def _parse(argv):
+    """The handler and arguments of one command line; a usage error exits 2
+    through ``parser.error``."""
     parser = argparse.ArgumentParser(
         prog="torolog",
-        description=(
-            "Exact computations with toric monoids, cones, fans, and the "
-            "roundings of their log structures."
+        description="Exact computations with toric monoids, cones, fans, "
+        "and the roundings\nof their log structures.",
+        epilog="verbs:\n"
+        + "\n".join(
+            f"  {group + ' ' + verb:<17}{handler.__doc__}"
+            for (group, verb), handler in sorted(_VERBS.items())
         ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="group", required=True, metavar="group")
-    groups = {}
-    for (group, verb), handler in sorted(_VERBS.items()):
-        if group not in groups:
-            group_parser = sub.add_parser(group)
-            groups[group] = group_parser.add_subparsers(
-                dest="verb", required=True, metavar="verb"
-            )
-        leaf = groups[group].add_parser(verb, parents=[common])
-        if group == "snc":
-            leaf.add_argument(
-                "--strict-complex",
-                action="store_true",
-                help="reject complexes that are not closed under subsets "
-                "instead of completing them",
-            )
-        leaf.set_defaults(func=handler)
-    return parser
-
-
-def _read_payload(path):
-    if path is None:
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    parser.add_argument(
+        "group", metavar="group", choices=sorted({g for g, _ in _VERBS})
+    )
+    parser.add_argument("verb")
+    parser.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON instead of a text table")
+    parser.add_argument("--input", metavar="PATH",
+                        help="read the JSON payload from PATH (default: stdin)")
+    parser.add_argument("--strict-complex", action="store_true",
+                        help="snc verbs: reject complexes that are not closed "
+                        "under subsets instead of completing them")
+    args = parser.parse_args(argv)
+    handler = _VERBS.get((args.group, args.verb))
+    if handler is None:
+        verbs = ", ".join(repr(v) for g, v in sorted(_VERBS) if g == args.group)
+        parser.error(
+            f"argument verb: invalid choice: {args.verb!r} (choose from {verbs})"
+        )
+    if args.strict_complex and args.group != "snc":
+        parser.error("unrecognized arguments: --strict-complex")
+    return handler, args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        handler, args = _parse(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
 
     try:
-        raw = _read_payload(args.input)
+        if args.input is None:
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                raw = fh.read()
     except OSError as e:
         print(f"cannot read input: {e}", file=sys.stderr)
         return 2
@@ -763,7 +679,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        code, obj, text = args.func(payload, args)
+        code, obj, text = handler(payload, args)
     except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2

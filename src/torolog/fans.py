@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cones import RationalCone, contains, dim, dual_cone, intersect, is_sharp
 from .cones import faces as cone_faces
-from .lattice import mat_identity, pairing, solve_integer
+from .lattice import mat_identity, memo, pairing, solve_integer
 from .monoids import (
     GhostReport,
     ToricMonoid,
@@ -201,6 +201,7 @@ def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
     )
 
 
+@memo
 def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     """Check the fan axioms plus the monoid conditions.
 

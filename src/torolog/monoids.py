@@ -490,6 +490,7 @@ def _integer_inverse(u):
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
+@memo
 def saturate(g: ToricMonoid) -> ToricMonoid:
     """The saturation: all group elements lying in the exponent cone.
 

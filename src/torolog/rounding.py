@@ -36,7 +36,6 @@ from .monoids import (
     _face_with_indices,
     _gp_matrix,
     _require_face,
-    edge,
     faces,
     ghost,
     gp,
@@ -345,6 +344,11 @@ class FiberReport:
     components: int
     invariants: AbelianGroupInvariants
 
+    @classmethod
+    def of(cls, inv: AbelianGroupInvariants) -> "FiberReport":
+        """The fiber whose character lattice has invariants ``inv``."""
+        return cls(inv.rank, inv.torsion_order, inv)
+
 
 def fiber_structure(g: ToricMonoid, f: MonoidFace) -> FiberReport:
     """Fiber of the collapse map over a complex point supported on ``f``.
@@ -353,8 +357,7 @@ def fiber_structure(g: ToricMonoid, f: MonoidFace) -> FiberReport:
     face, so its rank and component count are read off the ghost invariants.
     """
     _require_face(g, f)
-    inv = ghost(g, f).invariants
-    return FiberReport(inv.rank, inv.torsion_order, inv)
+    return FiberReport.of(ghost(g, f).invariants)
 
 
 @dataclass(frozen=True)
@@ -378,7 +381,7 @@ def rounding_report(fm: FanOfMonoids) -> tuple:
             RoundingStratum(
                 cone=s.cone,
                 orbit_dimension=s.orbit_dimension,
-                fiber=FiberReport(inv.rank, inv.torsion_order, inv),
+                fiber=FiberReport.of(inv),
                 boundary=inv.rank > 0 or inv.torsion != (),
             )
         )
@@ -409,24 +412,27 @@ def relative_fiber(mu_gp, f1: MonoidFace) -> FiberReport:
     rows = tuple(
         tuple(b[i] for b in phi) + mu[i] for i in range(d1)
     )
-    inv = quotient_invariants(d1, rows)
-    return FiberReport(inv.rank, inv.torsion_order, inv)
+    return FiberReport.of(quotient_invariants(d1, rows))
 
 
 def milnor_stratum_fiber(multiplicities) -> FiberReport:
     """Fiber data of the map cutting out a normal crossing of the given
     multiplicities: rank one less than the depth, and one component per
-    common divisor."""
+    common divisor.
+
+    This is :func:`relative_fiber` of the multiplicity column at the closed
+    point of the free monoid, read off in closed form: the lattice modulo
+    one vector of content ``g`` is ``Z^(k-1) x Z/g``.
+    """
     ms = tuple(multiplicities)
     if not ms:
         raise ValueError("at least one multiplicity is required")
     if any(not isinstance(m, int) or m < 1 for m in ms):
         raise ValueError("multiplicities must be positive integers")
-    k = len(ms)
-    axes = ToricMonoid(
-        k, tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    g = math.gcd(*ms)
+    return FiberReport.of(
+        AbelianGroupInvariants(len(ms) - 1, (g,) if g > 1 else ())
     )
-    return relative_fiber(tuple((m,) for m in ms), edge(axes))
 
 
 @dataclass(frozen=True)
@@ -551,7 +557,7 @@ def points_of(g: ToricMonoid, kind) -> tuple:
     fibers; trivially-valued points see only the dense torus.
     """
     kind = LogPointKind(kind)
-    trivial = FiberReport(0, 1, AbelianGroupInvariants(0, ()))
+    trivial = FiberReport.of(AbelianGroupInvariants(0, ()))
     if kind is LogPointKind.POLAR:
         return tuple(
             PointStratum(f, len(gp(f.monoid)), fiber_structure(g, f))

@@ -4,16 +4,17 @@ A :class:`DualComplex` records which divisor components meet: one vertex per
 component, one simplex per nonempty intersection, closed under subsets, with
 at most ``ambient_dim`` components through any point.  Intersections with
 several connected components are entered by repeating the simplex.  The local
-model at a depth-k stratum is the free monoid on k generators, so link fibers
-come from :func:`~torolog.rounding.fiber_structure` and Milnor-type fibers
-from :func:`~torolog.rounding.milnor_stratum_fiber` applied to the restricted
+model at a depth-k stratum is the free monoid on k generators, so the link
+fiber is one torus of rank k (the ghost group of that monoid at its closed
+point is ``Z^k``) and Milnor-type fibers come from
+:func:`~torolog.rounding.milnor_stratum_fiber` applied to the restricted
 multiplicities.
 """
 
 from dataclasses import dataclass
 
-from .monoids import ToricMonoid, edge
-from .rounding import FiberReport, fiber_structure, milnor_stratum_fiber
+from .lattice import AbelianGroupInvariants
+from .rounding import FiberReport, milnor_stratum_fiber
 
 __all__ = [
     "DualComplex",
@@ -142,12 +143,6 @@ class MilnorReport:
     components_by_depth: tuple
 
 
-def _local_model(k: int) -> ToricMonoid:
-    return ToricMonoid(
-        k, tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    )
-
-
 def link_report(dc: DualComplex) -> tuple:
     """One row per simplex: the boundary-torus fiber of the local model.
 
@@ -155,14 +150,14 @@ def link_report(dc: DualComplex) -> tuple:
     fiber is a single torus of rank k over a stratum of complex dimension
     ``ambient_dim - k``.
     """
-    rows = []
-    for s in dc.simplices:
-        k = len(s)
-        model = _local_model(k)
-        rows.append(
-            StratumRow(s, dc.ambient_dim - k, fiber_structure(model, edge(model)))
+    return tuple(
+        StratumRow(
+            s,
+            dc.ambient_dim - len(s),
+            FiberReport.of(AbelianGroupInvariants(len(s), ())),
         )
-    return tuple(rows)
+        for s in dc.simplices
+    )
 
 
 def milnor_report(dc: DualComplex) -> MilnorReport:

@@ -79,6 +79,13 @@ def test_verb_table_is_exactly_the_advertised_surface():
     }
 
 
+def test_help_lists_every_verb(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr()[0]
+    for group, verb in _VERBS:
+        assert f"  {group} {verb} " in out
+
+
 def test_unknown_verb_is_rejected_with_usage(capsys):
     code = main(["cone", "frobnicate"])
     err = capsys.readouterr()[1]

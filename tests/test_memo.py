@@ -9,7 +9,7 @@ size constant, and that cold and warm calls agree on a seeded corpus.
 import random
 
 from conftest import random_monoid
-from torolog import cones, lattice, monoids
+from torolog import cones, fans, lattice, monoids
 from torolog.cones import RationalCone
 from torolog.fans import affine_atlas
 from torolog.lattice import (
@@ -26,7 +26,7 @@ from torolog.monoids import ToricMonoid, faces, ghost, saturate
 
 MEMOS = [
     obj
-    for module in (lattice, cones, monoids)
+    for module in (lattice, cones, monoids, fans)
     for obj in vars(module).values()
     if hasattr(obj, "cache_clear")
 ]
@@ -45,7 +45,8 @@ def test_every_memo_is_bounded_by_the_one_size_constant():
     names = {fn.__name__ for fn in MEMOS}
     assert names >= {
         "_hnf", "_snf", "_canonical_form", "dual_cone", "exponent_cone",
-        "faces", "gp", "_gp_matrix", "_splitting",
+        "faces", "gp", "_gp_matrix", "_splitting", "saturate",
+        "validate_fan_of_monoids",
     }
     assert all(fn.cache_info().maxsize == MEMO_SIZE for fn in MEMOS)
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from torolog.monoids import ToricMonoid, edge
-from torolog.rounding import relative_fiber
+from torolog.rounding import fiber_structure, relative_fiber
 from torolog.snc import DualComplex, MilnorReport, StratumRow, link_report, milnor_report
 
 SEGMENT = DualComplex(2, 2, ((0,), (1,), (0, 1)))
@@ -97,6 +97,17 @@ def test_link_of_two_divisors_meeting_in_a_point():
 
 def test_link_of_the_empty_complex_is_empty():
     assert link_report(EMPTY) == ()
+
+
+def test_link_rows_match_the_fiber_of_the_free_local_model():
+    dc = DualComplex(4, 4, ((0, 1, 2, 3),), complete=True)
+    for row in link_report(dc):
+        k = len(row.simplex)
+        model = ToricMonoid(
+            k, tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        )
+        assert row.fiber == fiber_structure(model, edge(model))
+    assert {len(r.simplex) for r in link_report(dc)} == {1, 2, 3, 4}
 
 
 def test_link_rows_depend_only_on_simplex_size():
