@@ -86,6 +86,13 @@ def _as_int(x, what):
     raise InputError(f"{what}: {x!r} is not an integer")
 
 
+def _as_float(x, what):
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what}: {x!r} is not a number") from None
+
+
 def _as_array(x, what):
     if not isinstance(x, (list, tuple)):
         raise InputError(f"{what}: expected an array, got {x!r}")
@@ -213,7 +220,7 @@ def _angle_out(a):
 
 def _angles_in(values):
     angles = []
-    for a in values:
+    for a in _as_array(values, "angle"):
         if isinstance(a, str):
             try:
                 angles.append(Fraction(a))
@@ -224,7 +231,7 @@ def _angles_in(values):
         elif isinstance(a, int):
             angles.append(Fraction(a))
         else:
-            angles.append(float(a))
+            angles.append(_as_float(a, "angle"))
     return tuple(angles)
 
 
@@ -244,7 +251,8 @@ def _point_from_json(g: ToricMonoid, obj, kind):
     if face is None:
         raise InputError(f"no face has generator indices {list(idx)}")
     radial = tuple(
-        float(x) for x in _field(obj, "radial_log", "point")
+        _as_float(x, "radial_log")
+        for x in _as_array(_field(obj, "radial_log", "point"), "radial_log")
     )
     angle = _angles_in(_field(obj, "angle", "point"))
     cls = RoundingPoint if kind == "rounding" else ComplexPoint
@@ -531,8 +539,8 @@ def _cmd_round_fiber(payload, args):
         for pair in _as_array(images, "images"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InputError("images must be [radius, angle] pairs")
-            radius, angle = pair
-            parsed.append((float(radius), _angles_in((angle,))[0]))
+            radius, angle = _as_float(pair[0], "radius"), pair[1]
+            parsed.append((radius, _angles_in((angle,))[0]))
         p = encode_hom(g, parsed)
         if p.support_face != face:
             raise InputError(

@@ -242,6 +242,14 @@ def is_sharp(c: RationalCone) -> bool:
     return not c.lineality
 
 
+def _face(c: RationalCone, rays) -> RationalCone:
+    """The face of ``c`` on a sorted subset of its rays: it shares the
+    lineality of ``c``, so it is in normal form without double description."""
+    f = object.__new__(RationalCone)
+    f.ambient_rank, f.rays, f.lineality = c.ambient_rank, rays, c.lineality
+    return f
+
+
 @memo
 def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     """Every face of the cone, from the minimal face up to the cone itself.
@@ -262,13 +270,8 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
             if child != cur and child not in labels:
                 labels.add(child)
                 queue.append(child)
-    lin_gens = c.lineality + tuple(_neg(l) for l in c.lineality)
     out = [
-        RationalCone(
-            c.ambient_rank,
-            tuple(c.rays[i] for i in sorted(label)) + lin_gens,
-        )
-        for label in labels
+        _face(c, tuple(c.rays[i] for i in sorted(label))) for label in labels
     ]
     out.sort(key=lambda f: (dim(f), f.rays, f.lineality))
     return tuple(out)

@@ -255,10 +255,7 @@ def membership(g: ToricMonoid, m) -> "tuple | None":
     cone = exponent_cone(g)
     if not contains(cone, m):
         return None
-    gen_columns = tuple(
-        tuple(v[i] for v in g.generators) for i in range(g.ambient_rank)
-    )
-    if solve_integer(gen_columns, m) is None:
+    if solve_integer(_gp_matrix(g), m) is None:
         return None  # not even in the generated group
 
     unit_idx, sharp_idx, w, unit_columns, relieve = _splitting(g)
@@ -328,9 +325,14 @@ def faces(g: ToricMonoid) -> tuple:
     corresponding cone face; the ordering follows the cone face ordering
     (dimension first), so the edge comes first and the monoid itself last.
     """
+    cone = exponent_cone(g)
+    normals = dual_cone(cone).rays
     out = []
-    for f in cone_faces(exponent_cone(g)):
-        idx = tuple(i for i, v in enumerate(g.generators) if contains(f, v))
+    for f in cone_faces(cone):
+        # v lies on f iff every facet normal vanishing on f vanishes on v.
+        tight = [n for n in normals if not any(pairing(n, r) for r in f.rays)]
+        idx = tuple(i for i, v in enumerate(g.generators)
+                    if not any(pairing(n, v) for n in tight))
         out.append(
             MonoidFace(
                 ToricMonoid(g.ambient_rank, tuple(g.generators[i] for i in idx)),
@@ -551,9 +553,12 @@ def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
 
 
 def monoid_equal(a: ToricMonoid, b: ToricMonoid) -> bool:
-    """Semantic equality: mutual membership of generators."""
+    """Semantic equality: mutual membership of generators.  A generator
+    that both monoids list needs no search."""
     if a.ambient_rank != b.ambient_rank:
         return False
-    return all(membership(a, v) is not None for v in b.generators) and all(
-        membership(b, v) is not None for v in a.generators
+    shared = set(a.generators) & set(b.generators)
+    return all(
+        membership(g, v) is not None
+        for g, h in ((a, b), (b, a)) for v in h.generators if v not in shared
     )

@@ -481,6 +481,44 @@ def test_round_fiber_rejects_images_that_are_not_an_array(tmp_path, capsys):
     )
 
 
+def test_round_fiber_rejects_a_radius_that_is_not_a_number(tmp_path, capsys):
+    payload = {"monoid": NN2_JSON, "face": [],
+               "images": [[None, "0"], [1.0, "0"]]}
+    assert_rejected(
+        capsys, tmp_path, ["round", "fiber"], payload,
+        "radius: None is not a number",
+    )
+
+
+def test_round_fiber_rejects_an_angle_that_is_not_a_scalar(tmp_path, capsys):
+    payload = {"monoid": NN2_JSON, "face": [],
+               "images": [[1.0, [1]], [1.0, "0"]]}
+    assert_rejected(
+        capsys, tmp_path, ["round", "fiber"], payload,
+        "angle: [1] is not a number",
+    )
+
+
+def test_morphism_check_rejects_a_radial_log_that_is_not_an_array(
+    tmp_path, capsys
+):
+    atlas = affine_atlas(ToricMonoid(1, ((1,),)))
+    chart = [m.generators for _, m in atlas.entries].index(((1,),))
+    point = {"source_chart": chart, "target_chart": chart, "face": [0],
+             "radial_log": 5, "angle": ["1/2"]}
+    line = fanmon_to_json(atlas)
+    payload = {"nu": [["1"]], "source": line, "target": line, "point": point}
+    assert_rejected(
+        capsys, tmp_path, ["morphism", "check"], payload,
+        "radial_log: expected an array, got 5",
+    )
+    payload["point"] = dict(point, radial_log=[0.25], angle=5)
+    assert_rejected(
+        capsys, tmp_path, ["morphism", "check"], payload,
+        "angle: expected an array, got 5",
+    )
+
+
 def test_cone_dual_rejects_a_negative_ambient_rank(tmp_path, capsys):
     assert_rejected(
         capsys, tmp_path, ["cone", "dual"], {"ambient_rank": -1, "rays": []},

@@ -363,3 +363,18 @@ def test_contains_matches_certificate_search():
         for _ in range(8):
             v = tuple(rng.randint(-6, 6) for _ in range(rank))
             assert contains(c, v) == membership_oracle(c, v)
+
+
+def test_faces_equal_their_rebuild_by_double_description():
+    # Oracle: the old construction, each face canonicalized from its rays
+    # and both signs of the parent's lineality.
+    rng = random.Random(2026)
+    with_lineality = 0
+    for _ in range(120):
+        c = random_cone(rng, rng.randint(1, 4))
+        with_lineality += bool(c.lineality)
+        lin = c.lineality + tuple(tuple(-x for x in v) for v in c.lineality)
+        for f in faces(c):
+            rebuilt = RationalCone(c.ambient_rank, f.rays + lin)
+            assert f == rebuilt and hash(f) == hash(rebuilt)
+    assert with_lineality >= 10

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import random_monoid
-from torolog.cones import RationalCone, faces as cone_faces, is_face_of
+from torolog.cones import RationalCone, contains, faces as cone_faces, is_face_of
 from torolog.lattice import pairing
 from torolog.monoids import (
     ToricMonoid,
@@ -511,6 +511,57 @@ def test_monoid_equal_distinguishes_different_monoids():
 
 def test_monoid_equal_is_reflexive():
     assert monoid_equal(TORSION, TORSION)
+
+
+def mutual_membership(a, b):
+    """Oracle: every generator of each monoid searched for in the other."""
+    return (
+        a.ambient_rank == b.ambient_rank
+        and all(membership(a, v) is not None for v in b.generators)
+        and all(membership(b, v) is not None for v in a.generators)
+    )
+
+
+def test_monoid_equal_matches_mutual_membership():
+    rng = random.Random(4242)
+    equal_presentations = unequal = 0
+    for _ in range(60):
+        g = random_monoid(rng, rng.randint(1, 4))
+        d = g.ambient_rank
+        pairs = []
+        # A redundant generator: the sum of two listed ones.
+        u, v = rng.choice(g.generators), rng.choice(g.generators)
+        summed = tuple(a + b for a, b in zip(u, v))
+        pairs.append((g, ToricMonoid(d, g.generators + (summed,))))
+        # A localization of a localization against every one-step
+        # localization: exactly one of them is the same monoid.
+        loc = localize(g, rng.choice(faces(g)))
+        twice = localize(loc, rng.choice(faces(loc)))
+        partners = [localize(g, f) for f in faces(g)]
+        pairs += [(twice, p) for p in partners]
+        for a, b in pairs:
+            expected = mutual_membership(a, b)
+            assert monoid_equal(a, b) == expected
+            assert monoid_equal(b, a) == expected
+            equal_presentations += expected and a != b
+            unequal += not expected
+        assert sum(monoid_equal(twice, p) for p in partners) == 1
+    assert equal_presentations >= 30 and unequal >= 30
+
+
+def test_face_generators_are_those_the_cone_face_contains():
+    # Oracle: the old selection, one containment test per generator and face.
+    rng = random.Random(1717)
+    with_units = 0
+    for _ in range(120):
+        g = random_monoid(rng, rng.randint(1, 4))
+        with_units += bool(exponent_cone(g).lineality)
+        expected = [
+            tuple(i for i, v in enumerate(g.generators) if contains(f, v))
+            for f in cone_faces(exponent_cone(g))
+        ]
+        assert [f.generator_indices for f in faces(g)] == expected
+    assert with_units >= 10
 
 
 def test_package_level_faces_dispatches_on_argument_type():
