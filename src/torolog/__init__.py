@@ -76,7 +76,6 @@ from torolog.rounding import (
     LogStalk,
     PointStratum,
     RoundingPoint,
-    RoundingStratum,
     associated_log_stalk,
     base_point,
     encode_hom,

@@ -9,7 +9,9 @@ Integer matrix entries are written as decimal strings so values survive JSON
 implementations with 53-bit number limits; readers accept plain integers as
 well.  Output ordering is canonical everywhere, so identical inputs produce
 byte-identical output.  Exit codes: 0 on success, 1 when a check verb finds
-validation failures, 2 on malformed input.
+validation failures, 2 on malformed input (JSON nested too deeply included),
+3 when a handler fails for any other reason (one ``internal error: <type>``
+line on stderr, no traceback).
 """
 
 import argparse
@@ -685,12 +687,18 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    except RecursionError:
+        print("malformed input: nested too deeply", file=sys.stderr)
+        return 2
 
     try:
         code, obj, text = handler(payload, args)
     except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}", file=sys.stderr)
+        return 3
 
     if args.json:
         print(json.dumps(obj, indent=2, sort_keys=True))

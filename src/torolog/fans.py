@@ -1,7 +1,7 @@
 """Fans of cones and fans of monoids.
 
 A :class:`Fan` is a finite set of sharp rational cones in a common lattice,
-closed under taking faces and pairwise intersections.  A
+closed under taking faces, any two of which meet in a common face.  A
 :class:`FanOfMonoids` additionally assigns to each cone an exponent monoid
 with full generated group and matching weight cone, compatibly along faces —
 the combinatorial encoding of a toric variety covered by invariant affine
@@ -11,10 +11,19 @@ listing every violation with a machine-readable code.
 
 from dataclasses import dataclass
 
-from .cones import RationalCone, contains, dim, dual_cone, intersect, is_sharp
+from .cones import (
+    RationalCone,
+    contains,
+    dim,
+    dual_cone,
+    intersect,
+    is_face_of,
+    is_sharp,
+)
 from .cones import faces as cone_faces
 from .lattice import mat_identity, memo, pairing, solve_integer
 from .monoids import (
+    FiberReport,
     GhostReport,
     ToricMonoid,
     _face_with_indices,
@@ -153,9 +162,21 @@ class FanStratum:
     orbit_dimension: int
     ghost: GhostReport
 
+    @property
+    def fiber(self) -> FiberReport:
+        """The collapse fiber: a torsor under the ghost group's characters."""
+        return FiberReport.of(self.ghost.invariants)
+
+    @property
+    def boundary(self) -> bool:
+        """Whether the stratum lies in the boundary: its ghost is nontrivial."""
+        inv = self.ghost.invariants
+        return inv.rank > 0 or inv.torsion != ()
+
 
 def validate_fan(f: Fan) -> ValidationReport:
-    """Check sharpness, face closure, and pairwise intersection closure.
+    """Check sharpness, face closure, and that every two cones meet in a
+    cone of the fan that is a face of both.
 
     Every violation becomes one report entry; a valid fan yields an empty
     failure list.
@@ -178,13 +199,22 @@ def validate_fan(f: Fan) -> ValidationReport:
     n = len(f.cones)
     for i in range(n):
         for j in range(i + 1, n):
-            meet = intersect(f.cones[i], f.cones[j])
+            a, b = f.cones[i], f.cones[j]
+            meet = intersect(a, b)
             if meet not in present:
                 failures.append(
                     ValidationFailure(
                         "missing-intersection",
-                        f"intersection {meet!r} of {f.cones[i]!r} and "
-                        f"{f.cones[j]!r} is not in the fan",
+                        f"intersection {meet!r} of {a!r} and {b!r} is not in "
+                        "the fan",
+                    )
+                )
+            elif not (is_face_of(meet, a) and is_face_of(meet, b)):
+                failures.append(
+                    ValidationFailure(
+                        "improper-intersection",
+                        f"intersection {meet!r} of {a!r} and {b!r} is not a "
+                        "face of both",
                     )
                 )
     return ValidationReport(tuple(failures))

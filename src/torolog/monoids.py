@@ -7,17 +7,14 @@ demand; what the other computations reuse is memoized by the monoid's value.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cones import RationalCone, contains, dual_cone
+from .cones import RationalCone, _dual_description, contains, dual_cone
 from .cones import faces as cone_faces
 from .lattice import (
     AbelianGroupInvariants,
     IntMat,
     hnf_basis,
-    lattice_rank,
     mat_vec,
     memo,
     pairing,
@@ -26,6 +23,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "FiberReport",
     "GhostReport",
     "MonoidFace",
     "PrimeIdeal",
@@ -119,6 +117,21 @@ class GhostReport:
     sharp_generators: tuple
 
 
+@dataclass(frozen=True)
+class FiberReport:
+    """Shape of a collapse fiber: a disjoint union of ``components`` copies
+    of a real torus of dimension ``torus_rank``."""
+
+    torus_rank: int
+    components: int
+    invariants: AbelianGroupInvariants
+
+    @classmethod
+    def of(cls, inv: AbelianGroupInvariants) -> "FiberReport":
+        """The fiber whose character lattice has invariants ``inv``."""
+        return cls(inv.rank, inv.torsion_order, inv)
+
+
 @memo
 def exponent_cone(g: ToricMonoid) -> RationalCone:
     """The rational cone spanned by the generators."""
@@ -141,57 +154,6 @@ def _gp_matrix(g: ToricMonoid):
     """Basis of gp(g) as a matrix with the basis vectors for columns."""
     basis = gp(g)
     return tuple(tuple(b[i] for b in basis) for i in range(g.ambient_rank))
-
-
-def _nonneg_rational_combination(vectors, target):
-    """Solve ``sum(c_i * vectors[i]) == target`` with rational ``c_i >= 0``.
-
-    Searches linearly independent subsets of the generating vectors, which
-    suffices because any conic combination can be carried by one of them.
-    Returns a full-length coefficient list or None.
-    """
-    d = len(target)
-    n = len(vectors)
-    r = min(lattice_rank(vectors), n) if vectors else 0
-    if not any(target):
-        return [Fraction(0)] * n
-    for size in range(1, r + 1):
-        for subset in itertools.combinations(range(n), size):
-            sol = _solve_exact([vectors[i] for i in subset], target, d)
-            if sol is not None and all(c >= 0 for c in sol):
-                full = [Fraction(0)] * n
-                for i, c in zip(subset, sol):
-                    full[i] = c
-                return full
-    return None
-
-
-def _solve_exact(cols, target, d):
-    """Unique rational solution of ``cols @ x == target`` for independent
-    columns, or None if the system is inconsistent or dependent."""
-    k = len(cols)
-    rows = [
-        [Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(d)
-    ]
-    pivot_rows = []
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, d) if rows[r][col] != 0), None)
-        if sel is None:
-            return None  # dependent columns
-        rows[row], rows[sel] = rows[sel], rows[row]
-        pv = rows[row][col]
-        rows[row] = [x / pv for x in rows[row]]
-        for r in range(d):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivot_rows.append(row)
-        row += 1
-    if any(rows[r][k] != 0 for r in range(row, d)):
-        return None
-    return [rows[r][k] for r in pivot_rows]
 
 
 @memo
@@ -217,23 +179,22 @@ def _splitting(g: ToricMonoid):
     w = tuple(
         sum(r[i] for r in dual.rays) for i in range(g.ambient_rank)
     ) if dual.rays else (0,) * g.ambient_rank
-    units = [g.generators[i] for i in unit_idx]
-    relieve = None
-    if units:
-        total = [0] * len(units)
-        for j, u in enumerate(units):
-            neg = tuple(-x for x in u)
-            combo = _nonneg_rational_combination(units, neg)
-            if combo is None:  # pragma: no cover - units span a linear space
-                raise RuntimeError("unit generators do not close up")
-            combo[j] += 1
-            denom = math.lcm(*(c.denominator for c in combo))
-            for i, c in enumerate(combo):
-                total[i] += int(c * denom)
-        relieve = tuple(total)
+    n = len(unit_idx)
     unit_columns = tuple(
-        tuple(u[i] for u in units) for i in range(g.ambient_rank)
+        tuple(g.generators[j][i] for j in unit_idx)
+        for i in range(g.ambient_rank)
     )
+    relieve = None
+    if n:
+        # Extreme rays of {x >= 0 : sum(x_j * unit_j) == 0}.  Each -unit_j is
+        # a nonnegative combination of units, so every coordinate is positive
+        # on some ray and the sum of the rays is strictly positive.
+        _, rays = _dual_description(
+            n,
+            [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            + list(unit_columns) + [tuple(-x for x in r) for r in unit_columns],
+        )
+        relieve = tuple(map(sum, zip(*rays)))
     return unit_idx, sharp_idx, w, unit_columns, relieve
 
 
@@ -378,34 +339,13 @@ def saturation_membership(g: ToricMonoid, m) -> bool:
     return contains(exponent_cone(g), m)
 
 
-def hilbert_basis(cone: RationalCone, lattice=None) -> tuple:
+def hilbert_basis(cone: RationalCone) -> tuple:
     """Minimal generating set of the lattice points of a rational cone.
 
-    ``lattice`` defaults to the standard integer lattice; a full-rank basis
-    of a sublattice of ``Z^d`` may be supplied instead.  For cones with
-    lineality the result is minimal modulo units and includes a basis of the
-    unit lattice together with its negatives.
+    For cones with lineality the result is minimal modulo units and includes
+    a basis of the unit lattice together with its negatives.
     """
     d = cone.ambient_rank
-    if lattice is not None:
-        basis = tuple(tuple(int(x) for x in b) for b in lattice)
-        if len(basis) != d:
-            raise ValueError("lattice basis must have full rank")
-        bmat_cols = list(basis)
-        transformed = []
-        for r in cone.generating_vectors():
-            sol = _solve_exact(bmat_cols, r, d)
-            if sol is None:
-                raise ValueError("lattice basis must have full rank")
-            denom = math.lcm(*(c.denominator for c in sol))
-            transformed.append(tuple(int(c * denom) for c in sol))
-        inner = hilbert_basis(RationalCone(d, transformed))
-        back = tuple(
-            tuple(sum(h[j] * basis[j][i] for j in range(d)) for i in range(d))
-            for h in inner
-        )
-        return tuple(sorted(back))
-
     if cone.lineality:
         return _hilbert_basis_with_units(cone)
     rays = cone.rays

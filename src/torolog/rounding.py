@@ -14,9 +14,7 @@ lattice is the ghost group of the face, which is what
 """
 
 import cmath
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,9 +25,11 @@ from .lattice import (
     AbelianGroupInvariants,
     hnf,
     quotient_invariants,
+    snf,
     solve_integer,
 )
 from .monoids import (
+    FiberReport,
     GhostReport,
     MonoidFace,
     ToricMonoid,
@@ -50,7 +50,6 @@ __all__ = [
     "LogStalk",
     "PointStratum",
     "RoundingPoint",
-    "RoundingStratum",
     "associated_log_stalk",
     "base_point",
     "encode_hom",
@@ -335,21 +334,6 @@ def tau(p: RoundingPoint) -> ComplexPoint:
     return ComplexPoint(p.monoid, p.support_face, p.radial_log, restricted)
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    """Shape of a collapse fiber: a disjoint union of ``components`` copies
-    of a real torus of dimension ``torus_rank``."""
-
-    torus_rank: int
-    components: int
-    invariants: AbelianGroupInvariants
-
-    @classmethod
-    def of(cls, inv: AbelianGroupInvariants) -> "FiberReport":
-        """The fiber whose character lattice has invariants ``inv``."""
-        return cls(inv.rank, inv.torsion_order, inv)
-
-
 def fiber_structure(g: ToricMonoid, f: MonoidFace) -> FiberReport:
     """Fiber of the collapse map over a complex point supported on ``f``.
 
@@ -360,32 +344,11 @@ def fiber_structure(g: ToricMonoid, f: MonoidFace) -> FiberReport:
     return FiberReport.of(ghost(g, f).invariants)
 
 
-@dataclass(frozen=True)
-class RoundingStratum:
-    cone: object
-    orbit_dimension: int
-    fiber: FiberReport
-    boundary: bool
-
-
 def rounding_report(fm: FanOfMonoids) -> tuple:
-    """Per-stratum collapse fibers for a fan of monoids.
-
-    Each row records the stratum's orbit dimension and fiber shape, and flags
-    boundary strata — exactly those with a nontrivial ghost group.
-    """
-    rows = []
-    for s in strata(fm):
-        inv = s.ghost.invariants
-        rows.append(
-            RoundingStratum(
-                cone=s.cone,
-                orbit_dimension=s.orbit_dimension,
-                fiber=FiberReport.of(inv),
-                boundary=inv.rank > 0 or inv.torsion != (),
-            )
-        )
-    return tuple(rows)
+    """Per-stratum collapse fibers for a fan of monoids: the
+    :class:`~torolog.fans.FanStratum` rows of :func:`~torolog.fans.strata`,
+    each with its orbit dimension, fiber shape and boundary flag."""
+    return strata(fm)
 
 
 def relative_fiber(mu_gp, f1: MonoidFace) -> FiberReport:
@@ -576,48 +539,34 @@ def points_of(g: ToricMonoid, kind) -> tuple:
     )
 
 
-def strict_restriction_check(
-    g: ToricMonoid, f: MonoidFace, samples: int = 5
-) -> bool:
+def _restricting_characters(g: ToricMonoid, f: MonoidFace, L: int) -> int:
+    """How many characters of gp(g) with values in ``(1/L)Z/Z`` restrict to
+    a given such character of the face group.
+
+    They form a coset of the kernel of the face-coordinate matrix modulo
+    ``L``; with ``diag(s_1, ..., s_r)`` its Smith form and ``k`` the rank of
+    gp(g), that kernel has ``L^(k - r) * prod(gcd(s_i, L))`` elements.
+    """
+    bmat = _gp_matrix(g)
+    phi_coords = tuple(_coordinates(bmat, b) for b in gp(f.monoid))
+    s, _, _ = snf(phi_coords)
+    k = len(gp(g))
+    nonzero = [s[i][i] for i in range(min(len(phi_coords), k)) if s[i][i]]
+    return L ** (k - len(nonzero)) * math.prod(math.gcd(x, L) for x in nonzero)
+
+
+def strict_restriction_check(g: ToricMonoid, f: MonoidFace) -> bool:
     """Verify that restricting to the closed stratum preserves the fibers.
 
     The fiber over a stratum point is computed two ways: from the face's
-    ghost invariants directly, and by enumerating the characters of the full
-    group that restrict to a sampled character of the face group on a
-    denominator grid.  Returns whether all sampled counts agree with the
-    predicted component count times grid size to the torus rank.
+    ghost invariants, and as the number of characters of the full group on
+    the grid ``(1/L)Z/Z`` that restrict to a given character of the face
+    group, ``L`` the exponent of the ghost torsion (2 when there is none).
+    Returns whether that number equals the component count times ``L`` to
+    the torus rank.
     """
     _require_face(g, f)
     direct = fiber_structure(g, f)
-    stalk = associated_log_stalk(g, f)
-    if stalk.ghost.invariants != direct.invariants:
-        return False
-
-    L = 1
-    for t in direct.invariants.torsion:
-        L = math.lcm(L, t)
-    if L == 1:
-        L = 2
-    k = len(gp(g))
-    bmat = _gp_matrix(g)
-    phi_coords = tuple(
-        _coordinates(bmat, b) for b in gp(f.monoid)
-    )
+    L = max(2, math.lcm(*direct.invariants.torsion))
     expected = direct.components * L**direct.torus_rank
-    rng = random.Random(0x5EED)
-    for _ in range(max(1, samples)):
-        theta0 = tuple(Fraction(rng.randrange(L), L) for _ in range(k))
-        targets = tuple(
-            _combine(coords, theta0) % 1 for coords in phi_coords
-        )
-        count = 0
-        for combo in itertools.product(range(L), repeat=k):
-            theta = tuple(Fraction(j, L) for j in combo)
-            if all(
-                (_combine(coords, theta) - a) % 1 == 0
-                for coords, a in zip(phi_coords, targets)
-            ):
-                count += 1
-        if count != expected:
-            return False
-    return True
+    return _restricting_characters(g, f, L) == expected

@@ -107,6 +107,25 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_json_nested_too_deeply_is_malformed_input(capsys, monkeypatch):
+    deep = "[" * 100000 + "]" * 100000
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    code, out, err = invoke(capsys, ["cone", "dual"])
+    assert (code, out) == (2, "")
+    assert err == "malformed input: nested too deeply\n"
+
+
+def test_a_handler_failure_is_an_internal_error(capsys, monkeypatch):
+    def broken(payload, args):
+        return 1 // 0
+
+    monkeypatch.setitem(_VERBS, ("cone", "dual"), broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(QUADRANT_JSON)))
+    code, out, err = invoke(capsys, ["cone", "dual"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: ZeroDivisionError\n"
+
+
 def test_unreadable_input_path(capsys, tmp_path):
     code = main(["cone", "dual", "--input", str(tmp_path / "absent.json")])
     _, err = capsys.readouterr()
@@ -243,6 +262,25 @@ def test_fan_check_reports_missing_face(tmp_path, capsys):
     assert code == 1
     assert out.startswith("FAIL")
     assert "missing-face" in out
+
+
+def test_fan_check_reports_cones_meeting_off_their_faces(tmp_path, capsys):
+    rays = [[1, 0], [0, 1], [1, 1], [-1, 1]]
+    overlap = {
+        "ambient_rank": 2,
+        "cones": [
+            {"ambient_rank": 2, "rays": r}
+            for r in ([[1, 0], [0, 1]], [[1, 1], [-1, 1]], [[1, 1], [0, 1]],
+                      *([v] for v in rays), [])
+        ],
+    }
+    code, out, _ = invoke(capsys, ["fan", "check"], overlap, tmp_path)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "improper-intersection"
+    ] * 5
 
 
 def test_fanmon_check_passes_on_plane_atlas(tmp_path, capsys):

@@ -112,6 +112,19 @@ def test_overlapping_cones_fail_intersection_closure():
     assert "missing-intersection" in codes(report)
 
 
+def test_cones_meeting_off_their_faces_fail_the_fan_axiom():
+    # The quadrant and the wedge over (1,1), (-1,1) meet in the cone over
+    # (1,1), (0,1): it is in the collection with all faces, but it is a face
+    # of neither, so charts cannot glue along it.
+    wedge = RationalCone(2, ((1, 1), (-1, 1)))
+    meet = RationalCone(2, ((1, 1), (0, 1)))
+    rays = [RationalCone(2, (r,)) for r in ((1, 0), (0, 1), (1, 1), (-1, 1))]
+    report = validate_fan(Fan(2, (QUADRANT, wedge, meet, *rays, ORIGIN)))
+    assert codes(report) == ["improper-intersection"] * 5
+    messages = " ".join(f.message for f in report.failures)
+    assert repr(QUADRANT) in messages and repr(wedge) in messages
+
+
 def test_deleting_any_nonmaximal_cone_breaks_the_fan():
     full = Fan(2, (QUADRANT, X_RAY, Y_RAY, ORIGIN))
     assert validate_fan(full).ok

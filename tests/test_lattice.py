@@ -1,9 +1,9 @@
 """Exact integer linear algebra: normal forms, quotients, the duality pairing.
 
 Expected values for the non-trivial cases were derived by hand (the derivations
-are recorded next to each assertion) or cross-checked against the brute-force
-reference routines at the bottom of this file, which are deliberately
-independent of the library code.
+are recorded next to each assertion) or cross-checked against brute-force
+reference routines and, where sympy is installed, its Hermite and Smith forms;
+both are deliberately independent of the library code.
 """
 
 import random
@@ -297,3 +297,45 @@ def test_lattice_rank():
     assert lattice_rank(((1, 2), (2, 4))) == 1
     assert lattice_rank(((1, 0), (0, 1))) == 2
     assert lattice_rank(((0, 0), (0, 0))) == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracle: sympy's Hermite and Smith forms (a test-only dependency)
+# ---------------------------------------------------------------------------
+
+def seeded_matrices(seed, count):
+    """Integer matrices of 1-5 rows and columns; a third of them get a row
+    that repeats the sum of two others, so rank-deficient cases occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            a, b = rng.sample(m, 2)
+            m.append([x + y for x, y in zip(a, b)])
+        yield tuple(map(tuple, m))
+
+
+def test_hnf_spans_the_column_lattice_of_sympys_hermite_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    for m in seeded_matrices(17, 80):
+        h, _ = hnf(m)
+        rank = sum(any(row[j] for row in h) for j in range(len(h[0])))
+        want = hermite_normal_form(sympy.Matrix(m))
+        assert want.cols == rank
+        if rank:
+            basis = sympy.Matrix([row[:rank] for row in h])
+            assert hermite_normal_form(basis) == want
+
+
+def test_snf_diagonal_equals_sympys_smith_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for m in seeded_matrices(19, 80):
+        s, _, _ = snf(m)
+        want = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        diag = range(min(len(m), len(m[0])))
+        assert [s[i][i] for i in diag] == [abs(int(want[i, i])) for i in diag]

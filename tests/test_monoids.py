@@ -15,6 +15,7 @@ from torolog.cones import RationalCone, contains, faces as cone_faces, is_face_o
 from torolog.lattice import pairing
 from torolog.monoids import (
     ToricMonoid,
+    _splitting,
     edge,
     exponent_cone,
     faces,
@@ -132,6 +133,30 @@ def test_membership_witnesses_on_random_combinations():
         w = membership(g, m)
         assert w is not None
         assert witness_is_valid(g, m, w)
+
+
+def test_relieve_is_a_strictly_positive_relation_among_the_units():
+    # membership shifts unit coefficients by multiples of relieve, so it must
+    # be strictly positive and sum the unit generators to zero.
+    rng = random.Random(61)
+    corpus = [Z2, ToricMonoid(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 0),
+                                  (2, 3, 0), (0, 0, 1)))]
+    corpus += [random_monoid(rng, rng.randint(1, 4)) for _ in range(200)]
+    with_units = 0
+    for g in corpus:
+        unit_idx, _, _, _, relieve = _splitting(g)
+        if not unit_idx:
+            assert relieve is None
+            continue
+        with_units += 1
+        assert len(relieve) == len(unit_idx)
+        assert all(z > 0 for z in relieve)
+        units = [g.generators[i] for i in unit_idx]
+        assert all(
+            sum(z * u[i] for z, u in zip(relieve, units)) == 0
+            for i in range(g.ambient_rank)
+        )
+    assert with_units >= 50
 
 
 def brute_force_membership(generators, m, bound=12):

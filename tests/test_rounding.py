@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_monoid
-from torolog.fans import affine_atlas
+from torolog.fans import FanStratum, affine_atlas
 from torolog.lattice import solve_integer
 from torolog.monoids import ToricMonoid, edge, faces, gp, membership
 from torolog.rounding import (
@@ -22,6 +22,7 @@ from torolog.rounding import (
     FiberReport,
     LogPointKind,
     RoundingPoint,
+    _restricting_characters,
     associated_log_stalk,
     base_point,
     encode_hom,
@@ -299,6 +300,16 @@ def test_fiber_structure_rejects_foreign_faces():
         fiber_structure(NN2, xface(TORSION, (2,)))
 
 
+def restricted_angles(g, f, theta0):
+    """The restriction of the character ``theta0`` of gp(g), given on its
+    canonical basis, to the canonical basis of gp(f.monoid)."""
+    bmat = tuple(tuple(b[i] for b in gp(g)) for i in range(g.ambient_rank))
+    return [
+        sum(c * t for c, t in zip(solve_integer(bmat, b), theta0)) % 1
+        for b in gp(f.monoid)
+    ]
+
+
 def count_rounding_points(g, f, point_angles, L):
     """Enumerate denominator-L characters of gp(g) restricting to the given
     angles on gp(f.monoid)."""
@@ -333,19 +344,8 @@ def test_torsor_cardinality_over_fixed_points():
             if any(t % L for t in rep.invariants.torsion):
                 continue  # L must annihilate the torsion
             # Restrict a random denominator-L character to the face.
-            basis = gp(g)
-            bmat = tuple(
-                tuple(b[i] for b in basis) for i in range(g.ambient_rank)
-            )
-            theta0 = [Fraction(rng.randrange(L), L) for _ in basis]
-            angles = [
-                sum(
-                    c * t
-                    for c, t in zip(solve_integer(bmat, b), theta0)
-                )
-                % 1
-                for b in gp(f.monoid)
-            ]
+            theta0 = [Fraction(rng.randrange(L), L) for _ in gp(g)]
+            angles = restricted_angles(g, f, theta0)
             count = count_rounding_points(g, f, angles, L)
             assert count == rep.components * L**rep.torus_rank
 
@@ -356,6 +356,7 @@ def test_torsor_cardinality_over_fixed_points():
 
 def test_rounding_report_of_the_plane_atlas():
     rows = rounding_report(affine_atlas(NN2))
+    assert all(isinstance(r, FanStratum) for r in rows)
     data = [
         (r.orbit_dimension, r.fiber.torus_rank, r.fiber.components, r.boundary)
         for r in rows
@@ -594,16 +595,71 @@ def test_polar_points_match_the_rounding_report_of_the_atlas():
 # Strict restriction
 # ---------------------------------------------------------------------------
 
+def enumerated_restriction_check(g, f, samples=5):
+    """The strict restriction check by enumeration, kept as the oracle for
+    the closed form: for each sampled denominator-L character, count the
+    denominator-L characters with the same restriction to the face."""
+    rep = fiber_structure(g, f)
+    if associated_log_stalk(g, f).ghost.invariants != rep.invariants:
+        return False
+    L = max(2, math.lcm(*rep.invariants.torsion))
+    rng = random.Random(0x5EED)
+    for _ in range(max(1, samples)):
+        theta0 = [Fraction(rng.randrange(L), L) for _ in gp(g)]
+        count = count_rounding_points(g, f, restricted_angles(g, f, theta0), L)
+        if count != rep.components * L**rep.torus_rank:
+            return False
+    return True
+
+
+def test_strict_restriction_matches_the_enumerator_on_seeded_monoids():
+    # One sample per face: the count is the same for every sample, which is
+    # what the closed form rests on.
+    rng = random.Random(9)
+    with_units = 0
+    for _ in range(200):
+        g = random_monoid(rng, rng.randint(1, 4))
+        with_units += bool(edge(g).generator_indices)
+        for f in faces(g):
+            assert strict_restriction_check(g, f) == (
+                enumerated_restriction_check(g, f, samples=1)
+            )
+    assert with_units >= 50
+
+
+def test_strict_restriction_matches_the_enumerator_on_the_n_series():
+    for n in (2, 3, 5, 8, 12):
+        g = ToricMonoid(2, ((n, 0), (0, 1), (1, 1)))
+        for f in faces(g):
+            assert strict_restriction_check(g, f)
+            assert enumerated_restriction_check(g, f)
+
+
+def test_restricting_character_count_matches_enumeration():
+    # Grids whose size does not annihilate the ghost torsion included, where
+    # the gcd factors of the closed form fall below the Smith entries.
+    rng = random.Random(13)
+    for _ in range(80):
+        g = random_monoid(rng, rng.randint(1, 3))
+        for f in faces(g):
+            for L in (2, 3, 4, 6):
+                theta0 = [Fraction(rng.randrange(L), L) for _ in gp(g)]
+                angles = restricted_angles(g, f, theta0)
+                assert _restricting_characters(g, f, L) == (
+                    count_rounding_points(g, f, angles, L)
+                )
+
+
 def test_strict_restriction_on_the_axis():
-    assert strict_restriction_check(NN2, xface(NN2, (1,)), samples=4)
+    assert strict_restriction_check(NN2, xface(NN2, (1,)))
 
 
 def test_strict_restriction_on_the_full_face():
-    assert strict_restriction_check(NN2, faces(NN2)[-1], samples=2)
+    assert strict_restriction_check(NN2, faces(NN2)[-1])
 
 
 def test_strict_restriction_with_torsion():
-    assert strict_restriction_check(TORSION, xface(TORSION, (2,)), samples=4)
+    assert strict_restriction_check(TORSION, xface(TORSION, (2,)))
 
 
 def test_fiber_report_component_consistency():
