@@ -10,10 +10,10 @@ listing every violation with a machine-readable code.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cones import (
     RationalCone,
-    contains,
     dim,
     dual_cone,
     intersect,
@@ -174,12 +174,22 @@ class FanStratum:
         return inv.rank > 0 or inv.torsion != ()
 
 
+def _maximal_cones(cones) -> list:
+    """The cones of the list that are a proper face of no other one, read
+    off the face lattices, in the order given."""
+    proper = {face for c in cones for face in cone_faces(c) if face != c}
+    return [c for c in cones if c not in proper]
+
+
 def validate_fan(f: Fan) -> ValidationReport:
     """Check sharpness, face closure, and that every two cones meet in a
     cone of the fan that is a face of both.
 
-    Every violation becomes one report entry; a valid fan yields an empty
-    failure list.
+    Once the cones are sharp and closed under faces, only pairs of maximal
+    cones are intersected: if each such pair meets in a face of both, so
+    does every pair of their faces, and the fan is valid.  Otherwise every
+    pair of cones is intersected, so each violation becomes one report
+    entry; a valid fan yields an empty failure list.
     """
     failures = []
     present = set(f.cones)
@@ -196,6 +206,13 @@ def validate_fan(f: Fan) -> ValidationReport:
                         "missing-face", f"face {face!r} of {c!r} is not in the fan"
                     )
                 )
+    if not failures:
+        top = _maximal_cones(f.cones)
+        if all(
+            is_face_of(meet := intersect(a, b), a) and is_face_of(meet, b)
+            for a, b in combinations(top, 2)
+        ):
+            return ValidationReport(())
     n = len(f.cones)
     for i in range(n):
         for j in range(i + 1, n):
@@ -335,10 +352,6 @@ def normal_fan_of_monoids(f: Fan) -> FanOfMonoids:
     return FanOfMonoids(f.ambient_rank, tuple(entries))
 
 
-def _contains_cone(outer: RationalCone, inner: RationalCone) -> bool:
-    return all(contains(outer, v) for v in inner.generating_vectors())
-
-
 def strata(fm: FanOfMonoids) -> tuple:
     """One stratum per fan cone: orbit dimension and chart ghost data.
 
@@ -354,14 +367,10 @@ def strata(fm: FanOfMonoids) -> tuple:
         )
     cones = [c for c, _ in fm.entries]
     lookup = dict(fm.entries)
-    maximal = [
-        c
-        for c in cones
-        if not any(o != c and _contains_cone(o, c) for o in cones)
-    ]
+    maximal = _maximal_cones(cones)
     rows = []
     for cone in cones:
-        charts = [m for m in maximal if _contains_cone(m, cone)]
+        charts = [m for m in maximal if is_face_of(cone, m)]
         reports = []
         for chart_cone in charts:
             monoid = lookup[chart_cone]

@@ -10,9 +10,8 @@ and pushing radial and angular data through the dual coordinates.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
-from .cones import contains, intersect
+from .cones import contains, is_face_of
 from .fans import (
     FanOfMonoids,
     ValidationFailure,
@@ -103,18 +102,12 @@ def check_morphism(d: ToricMorphismData) -> ValidationReport:
                 )
             )
             continue
-        minimal = reduce(intersect, containing)
-        chart2 = lookup.get(minimal)
-        if chart2 is None:  # pragma: no cover - valid fans are intersection-closed
-            failures.append(
-                ValidationFailure(
-                    "no-containing-cone",
-                    f"the target cones containing the image of {cone1!r} "
-                    "do not intersect in a target cone",
-                )
-            )
-            continue
-        for gen in chart2.generators:
+        # The target is valid, so the containing cones meet in one of them:
+        # the one that is a face of all the others.
+        minimal = next(
+            c2 for c2 in containing if all(is_face_of(c2, o) for o in containing)
+        )
+        for gen in lookup[minimal].generators:
             if membership(chart1, mat_vec(d.nu_dual, gen)) is None:
                 failures.append(
                     ValidationFailure(

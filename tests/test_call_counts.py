@@ -4,11 +4,14 @@ The counts are deterministic: every check clears the memos first and counts
 calls through a wrapper, so no timer is involved.
 """
 
+import sys
+
 from test_memo import clear_memos
 from torolog import cones, monoids
 from torolog.cones import RationalCone
-from torolog.fans import affine_atlas, validate_fan_of_monoids
+from torolog.fans import Fan, affine_atlas, validate_fan, validate_fan_of_monoids
 from torolog.monoids import ToricMonoid, exponent_cone
+from torolog.morphisms import check_morphism, normalization_morphism
 
 HEXAGON = ToricMonoid(
     3, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1))
@@ -17,7 +20,11 @@ HEXAGON = ToricMonoid(
 
 def count_calls(monkeypatch, module, name, run):
     """``run()`` on cleared memos: the calls it made to ``module.name``, and
-    its result."""
+    its result.
+
+    The wrapper replaces the function in every torolog module that imported
+    it by name, so calls from those modules are counted too.
+    """
     original = getattr(module, name)
     calls = []
 
@@ -27,7 +34,12 @@ def count_calls(monkeypatch, module, name, run):
 
     clear_memos()
     with monkeypatch.context() as m:
-        m.setattr(module, name, counted)
+        for mod in list(sys.modules.values()):
+            if (
+                getattr(mod, "__name__", "").startswith("torolog")
+                and getattr(mod, name, None) is original
+            ):
+                m.setattr(mod, name, counted)
         result = run()
     return len(calls), result
 
@@ -54,3 +66,35 @@ def test_faces_cost_no_double_description_beyond_the_dual(monkeypatch):
             monkeypatch, cones, "_dual_description", lambda: cones.faces(c)
         )
         assert 0 < walk <= dual
+
+
+def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):
+    # Every cone of an atlas is a face of the one maximal cone.
+    calls, report = count_calls(
+        monkeypatch, cones, "intersect",
+        lambda: validate_fan_of_monoids(affine_atlas(HEXAGON)),
+    )
+    assert calls == 0
+    assert report.failures == ()
+
+
+def test_the_four_quadrants_intersect_only_their_maximal_pairs(monkeypatch):
+    quadrants = [
+        RationalCone(2, ((sx, 0), (0, sy))) for sx in (1, -1) for sy in (1, -1)
+    ]
+    fan = Fan(2, [f for q in quadrants for f in cones.faces(q)])
+    assert len(fan.cones) == 9
+    calls, report = count_calls(
+        monkeypatch, cones, "intersect", lambda: validate_fan(fan)
+    )
+    assert calls <= 6
+    assert report.failures == ()
+
+
+def test_checking_the_normalization_intersects_no_cones(monkeypatch):
+    d = normalization_morphism(HEXAGON)
+    calls, report = count_calls(
+        monkeypatch, cones, "intersect", lambda: check_morphism(d)
+    )
+    assert calls == 0
+    assert report.failures == ()

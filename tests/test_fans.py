@@ -5,11 +5,21 @@ import random
 import pytest
 
 from conftest import random_monoid
-from torolog.cones import RationalCone, dim, dual_cone, faces as cone_faces
+from torolog.cones import (
+    RationalCone,
+    dim,
+    dual_cone,
+    faces as cone_faces,
+    intersect,
+    is_face_of,
+    is_sharp,
+)
 from torolog.fans import (
     Fan,
     FanOfMonoids,
     FanStratum,
+    ValidationFailure,
+    ValidationReport,
     affine_atlas,
     normal_fan_of_monoids,
     strata,
@@ -139,6 +149,152 @@ def test_validation_reports_every_failure():
     report = validate_fan(Fan(2, (QUADRANT, ORIGIN)))
     missing = [f for f in report.failures if f.code == "missing-face"]
     assert len(missing) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Validation through maximal cones against the pairwise oracle
+# ---------------------------------------------------------------------------
+
+def pairwise_validate_fan(f):
+    """The fan axioms checked on every pair of cones: the slow route that
+    ``validate_fan`` takes only for invalid fans."""
+    failures = []
+    present = set(f.cones)
+    for c in f.cones:
+        if not is_sharp(c):
+            failures.append(
+                ValidationFailure("not-sharp", f"cone {c!r} has lineality")
+            )
+    for c in f.cones:
+        for face in cone_faces(c):
+            if face not in present:
+                failures.append(
+                    ValidationFailure(
+                        "missing-face", f"face {face!r} of {c!r} is not in the fan"
+                    )
+                )
+    n = len(f.cones)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = f.cones[i], f.cones[j]
+            meet = intersect(a, b)
+            if meet not in present:
+                failures.append(
+                    ValidationFailure(
+                        "missing-intersection",
+                        f"intersection {meet!r} of {a!r} and {b!r} is not in "
+                        "the fan",
+                    )
+                )
+            elif not (is_face_of(meet, a) and is_face_of(meet, b)):
+                failures.append(
+                    ValidationFailure(
+                        "improper-intersection",
+                        f"intersection {meet!r} of {a!r} and {b!r} is not a "
+                        "face of both",
+                    )
+                )
+    return ValidationReport(tuple(failures))
+
+
+def normal_fan(rank, points):
+    """The inner normal fan of the lattice polytope spanned by the points:
+    at each vertex, the dual of the cone of edge directions out of it, with
+    all faces.  None if the polytope is not full-dimensional."""
+    maximal = []
+    for v in set(points):
+        tangent = RationalCone(
+            rank, [tuple(p - q for p, q in zip(w, v)) for w in points]
+        )
+        if is_sharp(tangent):
+            maximal.append(dual_cone(tangent))
+    if not maximal or not all(is_sharp(c) for c in maximal):
+        return None
+    return Fan(rank, [f for c in maximal for f in cone_faces(c)])
+
+
+def maximal_cones(fan):
+    return [
+        c for c in fan.cones
+        if not any(c != o and is_face_of(c, o) for o in fan.cones)
+    ]
+
+
+def seeded_atlas_fans():
+    rng = random.Random(71)
+    out = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(6 if rank < 4 else 3):
+            g = random_monoid(rng, rank)
+            out.append(affine_atlas(g).fan())
+    return out
+
+
+def seeded_normal_fans():
+    rng = random.Random(73)
+    out = []
+    while len(out) < 8:
+        rank = 2 if len(out) < 5 else 3
+        points = [
+            tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rank + 3)
+        ]
+        fan = normal_fan(rank, points)
+        if fan is not None:
+            out.append(fan)
+    return out
+
+
+def broken_fans(fan, rng):
+    """The fan with one cone dropped, with one non-sharp cone added and, in
+    rank two and up, with one overlapping cone added, alone and with its
+    faces.  The overlapping cone runs from the sum of the rays of a top cone
+    to a random vector."""
+    d = fan.ambient_rank
+    cones = list(fan.cones)
+    dropped = rng.choice(cones)
+    axis = tuple(int(i == 0) for i in range(d))
+    line = RationalCone(d, (axis, tuple(-x for x in axis)))
+    out = [Fan(d, [c for c in cones if c != dropped]), Fan(d, cones + [line])]
+    if d > 1:
+        inner = tuple(map(sum, zip(*cones[-1].rays)))
+        overlap = cones[-1]
+        while overlap in cones or not is_sharp(overlap):
+            v = tuple(rng.randint(-2, 2) for _ in range(d))
+            overlap = RationalCone(d, (inner, v))
+        out.append(Fan(d, cones + [overlap]))
+        out.append(Fan(d, cones + list(cone_faces(overlap))))
+    return out
+
+
+def test_validation_matches_the_pairwise_oracle_on_atlases_and_normal_fans():
+    fans = seeded_atlas_fans() + seeded_normal_fans()
+    assert sum(len(maximal_cones(f)) > 1 for f in fans) >= 8
+    for fan in fans:
+        report = validate_fan(fan)
+        assert report.ok
+        assert report == pairwise_validate_fan(fan)
+
+
+def test_validation_matches_the_pairwise_oracle_on_broken_fans():
+    rng = random.Random(79)
+    improper = 0
+    for fan in seeded_atlas_fans() + seeded_normal_fans():
+        if not fan.cones[-1].rays:
+            continue
+        for broken in broken_fans(fan, rng):
+            report = validate_fan(broken)
+            assert report == pairwise_validate_fan(broken), broken
+            improper += "improper-intersection" in codes(report)
+    assert improper > 0
+
+
+def test_the_eight_cone_overlap_matches_the_pairwise_oracle():
+    wedge = RationalCone(2, ((1, 1), (-1, 1)))
+    meet = RationalCone(2, ((1, 1), (0, 1)))
+    rays = [RationalCone(2, (r,)) for r in ((1, 0), (0, 1), (1, 1), (-1, 1))]
+    fan = Fan(2, (QUADRANT, wedge, meet, *rays, ORIGIN))
+    assert validate_fan(fan) == pairwise_validate_fan(fan)
 
 
 # ---------------------------------------------------------------------------
