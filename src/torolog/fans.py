@@ -355,9 +355,8 @@ def normal_fan_of_monoids(f: Fan) -> FanOfMonoids:
 def strata(fm: FanOfMonoids) -> tuple:
     """One stratum per fan cone: orbit dimension and chart ghost data.
 
-    The ghost at a cone is computed in every maximal chart containing it and
-    must come out with the same group invariants; the reported data uses the
-    first such chart in canonical order.
+    The ghost at a cone is computed in the first maximal chart containing it,
+    in canonical order.
     """
     report = validate_fan_of_monoids(fm)
     if not report.ok:
@@ -370,28 +369,15 @@ def strata(fm: FanOfMonoids) -> tuple:
     maximal = _maximal_cones(cones)
     rows = []
     for cone in cones:
-        charts = [m for m in maximal if is_face_of(cone, m)]
-        reports = []
-        for chart_cone in charts:
-            monoid = lookup[chart_cone]
-            idx = _perp_face_indices(monoid, cone)
-            phi = _face_with_indices(monoid, idx)
-            if phi is None:  # pragma: no cover - excluded by validation
-                raise ValueError(
-                    f"no face of the chart at {chart_cone!r} matches {cone!r}"
-                )
-            reports.append(ghost(monoid, phi))
-        invariant_set = {r.invariants for r in reports}
-        if len(invariant_set) != 1:
-            raise ValueError(
-                f"ghost invariants at {cone!r} depend on the chart: "
-                f"{sorted(invariant_set, key=repr)}"
-            )
+        # Validation found this face in every chart, its group the entry's
+        # unit group, so every chart gives the same ghost invariants.
+        monoid = lookup[next(m for m in maximal if is_face_of(cone, m))]
+        phi = _face_with_indices(monoid, _perp_face_indices(monoid, cone))
         rows.append(
             FanStratum(
                 cone=cone,
                 orbit_dimension=fm.exponent_rank - dim(cone),
-                ghost=reports[0],
+                ghost=ghost(monoid, phi),
             )
         )
     return tuple(rows)

@@ -9,7 +9,7 @@ demand; what the other computations reuse is memoized by the monoid's value.
 import itertools
 from dataclasses import dataclass
 
-from .cones import RationalCone, _dual_description, contains, dual_cone
+from .cones import RationalCone, _dual_description, contains, dim, dual_cone
 from .cones import faces as cone_faces
 from .lattice import (
     AbelianGroupInvariants,
@@ -20,6 +20,7 @@ from .lattice import (
     pairing,
     snf,
     solve_integer,
+    transpose,
 )
 
 __all__ = [
@@ -344,55 +345,66 @@ def hilbert_basis(cone: RationalCone) -> tuple:
 
     For cones with lineality the result is minimal modulo units and includes
     a basis of the unit lattice together with its negatives.
+
+    A sharp cone is covered by the simplicial cones of a triangulation, and a
+    lattice point of a simplicial cone is a point of its half-open
+    fundamental parallelepiped plus a nonnegative integer combination of its
+    rays.  So every irreducible point is a ray or a parallelepiped point.
+    The candidates are scanned by a functional positive on the cone, and one
+    is kept unless it minus a point kept before still lies in the cone: the
+    kept points are exactly the irreducible ones.
     """
-    d = cone.ambient_rank
     if cone.lineality:
         return _hilbert_basis_with_units(cone)
-    rays = cone.rays
-    if not rays:
+    if not cone.rays:
         return ()
-    lo = [sum(min(0, r[i]) for r in rays) for i in range(d)]
-    hi = [sum(max(0, r[i]) for r in rays) for i in range(d)]
-    dual = dual_cone(cone)
-    w = tuple(sum(r[i] for r in dual.rays) for i in range(d))
-
-    candidates = []
-    for p in _box_points(lo, hi):
-        if any(p) and contains(cone, p):
-            candidates.append(p)
-    candidates.sort(key=lambda p: (pairing(w, p), p))
-
+    w = tuple(map(sum, zip(*dual_cone(cone).rays)))
+    simplices = _triangulation(cone)
+    candidates = set(cone.rays).union(*map(_parallelepiped, simplices))
+    candidates.discard((0,) * cone.ambient_rank)
     accepted = []
-    weights = []
-    for x in candidates:
-        if not _representable(x, accepted, weights, pairing(w, x)):
+    for x in sorted(candidates, key=lambda p: (pairing(w, p), p)):
+        if not any(
+            contains(cone, tuple(a - b for a, b in zip(x, y)))
+            for y in accepted
+        ):
             accepted.append(x)
-            weights.append(pairing(w, x))
     return tuple(sorted(accepted))
 
 
-def _box_points(lo, hi):
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return itertools.product(*ranges)
+def _triangulation(cone: RationalCone) -> list:
+    """Ray tuples of simplicial cones covering a sharp cone: the pulling
+    triangulation from its first ray, which puts that ray in front of each
+    simplex of the facets that miss it."""
+    rays = cone.rays
+    n = dim(cone)
+    if len(rays) == n:
+        return [rays]
+    return [
+        (rays[0],) + simplex
+        for f in cone_faces(cone)
+        if dim(f) == n - 1 and rays[0] not in f.rays
+        for simplex in _triangulation(f)
+    ]
 
 
-def _representable(x, basis, weights, wx):
-    """Whether ``x`` is a nonnegative integer combination of ``basis``."""
-    memo = {}
+def _parallelepiped(rays):
+    """Lattice points ``sum(t_j * r_j)``, ``0 <= t_j < 1``, of linearly
+    independent rays ``r_j``.
 
-    def rec(v, wv):
-        if wv == 0:
-            return not any(v)
-        if v in memo:
-            return memo[v]
-        memo[v] = False
-        for b, wb in zip(basis, weights):
-            if wb <= wv and rec(tuple(a - c for a, c in zip(v, b)), wv - wb):
-                memo[v] = True
-                break
-        return memo[v]
-
-    return rec(tuple(x), wx)
+    With ``u R v = S`` the Smith form of the ray columns ``R``, the lattice
+    points of their span are ``R v (a / s)`` for integer vectors ``a``.  Taking
+    ``a_i`` modulo ``s_i`` and each coefficient of ``v (a / s)`` modulo 1
+    lists every point once.  All of it is scaled by the last Smith entry,
+    which every other one divides, so the arithmetic stays integral.
+    """
+    columns = transpose(rays)
+    s, _, v = snf(columns)
+    diag = [s[i][i] for i in range(len(rays))]
+    n = diag[-1]
+    for a in itertools.product(*map(range, diag)):
+        t = mat_vec(v, [ai * (n // si) for ai, si in zip(a, diag)])
+        yield tuple(x // n for x in mat_vec(columns, [c % n for c in t]))
 
 
 def _hilbert_basis_with_units(cone: RationalCone) -> tuple:
@@ -401,35 +413,14 @@ def _hilbert_basis_with_units(cone: RationalCone) -> tuple:
     d = cone.ambient_rank
     lin = cone.lineality
     ell = len(lin)
-    lin_columns = tuple(tuple(b[i] for b in lin) for i in range(d))
-    s, u, v = snf(lin_columns)
+    _, u, _ = snf(transpose(lin))
     # The lineality lattice is saturated, so u carries it onto the span of
     # the first ell coordinate vectors.
-    proj_rays = []
-    for r in cone.rays:
-        ur = mat_vec(u, r)
-        proj_rays.append(tuple(ur[ell:]))
-    inner = hilbert_basis(RationalCone(d - ell, tuple(proj_rays)))
-    uinv = _integer_inverse(u)
-    lifted = [mat_vec(uinv, (0,) * ell + tuple(h)) for h in inner]
-    out = set(lifted)
-    for b in lin:
-        out.add(tuple(b))
-        out.add(tuple(-x for x in b))
+    proj_rays = tuple(mat_vec(u, r)[ell:] for r in cone.rays)
+    inner = hilbert_basis(RationalCone(d - ell, proj_rays))
+    out = {solve_integer(u, (0,) * ell + h) for h in inner}
+    out.update(v for b in lin for v in (b, tuple(-x for x in b)))
     return tuple(sorted(out))
-
-
-def _integer_inverse(u):
-    """Inverse of a unimodular integer matrix."""
-    d = len(u)
-    cols = []
-    for j in range(d):
-        e = tuple(1 if i == j else 0 for i in range(d))
-        x = solve_integer(u, e)
-        if x is None:  # pragma: no cover - u is unimodular by construction
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
 @memo

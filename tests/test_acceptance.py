@@ -24,6 +24,7 @@ from torolog.monoids import (
     exponent_cone,
     faces,
     gp,
+    hilbert_basis,
     localize,
     membership,
     monoid_equal,
@@ -293,3 +294,10 @@ def test_criterion_strict_restriction_cartesian():
             g = random_monoid(rng, rng.randint(1, 2))
             for f in faces(g):
                 assert strict_restriction_check(g, f)
+
+
+def test_criterion_hilbert_basis_ignores_coordinate_signs():
+    with criterion("the k=7 Hilbert basis and its mirror", 0.5):
+        for s in (1, -1):
+            rays = ((s, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (7 * s, 7, 7, 1))
+            assert set(hilbert_basis(RationalCone(4, rays))) == set(rays)

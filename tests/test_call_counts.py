@@ -98,3 +98,18 @@ def test_checking_the_normalization_intersects_no_cones(monkeypatch):
     )
     assert calls == 0
     assert report.failures == ()
+
+
+def test_a_mirrored_hilbert_basis_makes_as_many_containment_tests(monkeypatch):
+    # The cone is unimodular, so the candidates are its four rays and each
+    # is tested against the ones kept before it: 0 + 1 + 2 + 3 tests.
+    counts = []
+    for s in (1, -1):
+        rays = ((s, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (7 * s, 7, 7, 1))
+        calls, basis = count_calls(
+            monkeypatch, cones, "contains",
+            lambda: monoids.hilbert_basis(RationalCone(4, rays)),
+        )
+        assert set(basis) == set(rays)
+        counts.append(calls)
+    assert counts == [6, 6]

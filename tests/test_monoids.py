@@ -11,8 +11,9 @@ import random
 import pytest
 
 from conftest import random_monoid
-from torolog.cones import RationalCone, contains, faces as cone_faces, is_face_of
-from torolog.lattice import pairing
+from torolog.cones import RationalCone, contains, dual_cone, is_face_of
+from torolog.cones import faces as cone_faces
+from torolog.lattice import mat_vec, pairing, snf, transpose
 from torolog.monoids import (
     ToricMonoid,
     _splitting,
@@ -383,6 +384,110 @@ def test_hilbert_basis_elements_are_irreducible():
             others = ToricMonoid(2, hb[:i] + hb[i + 1 :])
             if others.generators:
                 assert membership(others, v) is None
+
+
+def _box_points(lo, hi):
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    return itertools.product(*ranges)
+
+
+def _representable(x, basis, weights, wx):
+    """Whether ``x`` is a nonnegative integer combination of ``basis``."""
+    memo = {}
+
+    def rec(v, wv):
+        if wv == 0:
+            return not any(v)
+        if v in memo:
+            return memo[v]
+        memo[v] = False
+        for b, wb in zip(basis, weights):
+            if wb <= wv and rec(tuple(a - c for a, c in zip(v, b)), wv - wb):
+                memo[v] = True
+                break
+        return memo[v]
+
+    return rec(tuple(x), wx)
+
+
+def box_hilbert_basis(cone):
+    """Oracle for sharp cones: every point of the rays' bounding box that the
+    cone contains, scanned by a functional positive on the cone and kept
+    unless a search finds it a combination of the points kept before."""
+    d = cone.ambient_rank
+    rays = cone.rays
+    if not rays:
+        return ()
+    lo = [sum(min(0, r[i]) for r in rays) for i in range(d)]
+    hi = [sum(max(0, r[i]) for r in rays) for i in range(d)]
+    w = tuple(sum(r[i] for r in dual_cone(cone).rays) for i in range(d))
+    candidates = [p for p in _box_points(lo, hi) if any(p) and contains(cone, p)]
+    candidates.sort(key=lambda p: (pairing(w, p), p))
+    accepted, weights = [], []
+    for x in candidates:
+        if not _representable(x, accepted, weights, pairing(w, x)):
+            accepted.append(x)
+            weights.append(pairing(w, x))
+    return tuple(sorted(accepted))
+
+
+# Entry bounds by rank that keep the box oracle within seconds.
+ORACLE_BOUNDS = {1: 4, 2: 4, 3: 2, 4: 1}
+
+
+def seeded_cones(seed, count, sharp=False):
+    """Cones of ranks 1-4 with entries within ``ORACLE_BOUNDS``; about a
+    quarter of them with a line unless ``sharp``."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        d = rng.randint(1, 4)
+        b = ORACLE_BOUNDS[d]
+        gens = [
+            tuple(rng.randint(-b, b) for _ in range(d))
+            for _ in range(rng.randint(1, d + 2))
+        ]
+        if rng.random() < 0.25:
+            gens.append(tuple(-x for x in gens[0]))
+        c = RationalCone(d, gens)
+        if not (sharp and c.lineality):
+            cones.append(c)
+    return cones
+
+
+def test_hilbert_basis_matches_the_box_oracle():
+    # With lineality the basis is compared modulo units: in the coordinates
+    # of the Smith form of the lineality columns the units are the first
+    # coordinates, and what is left must be the oracle's basis of the image.
+    lines = 0
+    for c in seeded_cones(83, 120):
+        hb = hilbert_basis(c)
+        assert all(contains(c, x) for x in hb)
+        if not c.lineality:
+            assert hb == box_hilbert_basis(c), c
+            continue
+        lines += 1
+        ell, d = len(c.lineality), c.ambient_rank
+        units = {v for b in c.lineality for v in (b, tuple(-x for x in b))}
+        _, u, _ = snf(transpose(c.lineality))
+        image = RationalCone(d - ell, [mat_vec(u, r)[ell:] for r in c.rays])
+        expected = box_hilbert_basis(image)
+        assert units <= set(hb)
+        assert len(hb) == len(units) + len(expected), c
+        assert {mat_vec(u, x)[ell:] for x in set(hb) - units} == set(expected)
+    assert lines >= 20
+
+
+def test_hilbert_basis_of_a_mirrored_cone_is_the_mirrored_basis():
+    # Sharp cones only: with a line each element is fixed only up to units.
+    def mirror(v, i):
+        return tuple(-x if j == i else x for j, x in enumerate(v))
+
+    for c in seeded_cones(89, 60, sharp=True):
+        hb = hilbert_basis(c)
+        for i in range(c.ambient_rank):
+            flipped = RationalCone(c.ambient_rank, [mirror(r, i) for r in c.rays])
+            assert hilbert_basis(flipped) == tuple(sorted(mirror(x, i) for x in hb))
 
 
 def test_saturate_numerical_monoid():

@@ -22,7 +22,6 @@ from torolog.rounding import (
     FiberReport,
     LogPointKind,
     RoundingPoint,
-    _restricting_characters,
     associated_log_stalk,
     base_point,
     encode_hom,
@@ -633,21 +632,6 @@ def test_strict_restriction_matches_the_enumerator_on_the_n_series():
         for f in faces(g):
             assert strict_restriction_check(g, f)
             assert enumerated_restriction_check(g, f)
-
-
-def test_restricting_character_count_matches_enumeration():
-    # Grids whose size does not annihilate the ghost torsion included, where
-    # the gcd factors of the closed form fall below the Smith entries.
-    rng = random.Random(13)
-    for _ in range(80):
-        g = random_monoid(rng, rng.randint(1, 3))
-        for f in faces(g):
-            for L in (2, 3, 4, 6):
-                theta0 = [Fraction(rng.randrange(L), L) for _ in gp(g)]
-                angles = restricted_angles(g, f, theta0)
-                assert _restricting_characters(g, f, L) == (
-                    count_rounding_points(g, f, angles, L)
-                )
 
 
 def test_strict_restriction_on_the_axis():
