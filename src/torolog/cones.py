@@ -7,21 +7,22 @@ Two generator presentations of the same cone therefore construct equal,
 hash-equal objects.
 
 The workhorse is an incremental double description pass (`_dual_description`)
-that converts a half-space description into a generator description; duality,
-intersection and canonicalization are all small compositions of it.  All
-arithmetic is exact (ints, with Fractions only in the ray-reduction step).
-Canonical forms, duals and face lattices are memoized by value.
+that converts a half-space description into a generator description.  One
+pass over a cone's generators yields vectors spanning its dual, and the pair
+of spanning sets gives both normal forms: the lineality of each cone is the
+integer kernel of the other's vectors, and its extreme rays are the vectors
+whose tight sets on the other's are maximal.  So a cone and its dual come
+from the same pass, and intersection needs one more.  All arithmetic is in
+integers.  Canonical forms, duals and face lattices are memoized by value.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from torolog.lattice import (
     hnf_basis,
     kernel_basis,
     lattice_rank,
+    mat_identity,
     memo,
     primitive,
 )
@@ -116,52 +117,60 @@ def _dual_description(d, constraints):
     return lin, [r for r, _ in rays]
 
 
-def _reduce_mod_lineality(v, lin):
-    """Canonical representative of a ray modulo the lineality space: the
-    projection killing the coordinates at the Hermite pivot rows, rescaled to
-    a primitive integer vector.  Returns None if v lies in the space."""
-    x = [Fraction(t) for t in v]
-    for b in lin:
-        p = next(i for i, t in enumerate(b) if t)
-        if x[p]:
-            coef = x[p] / b[p]
-            x = [xi - coef * bi for xi, bi in zip(x, b)]
-    if not any(x):
-        return None
-    den = math.lcm(*(t.denominator for t in x))
-    return primitive(tuple(int(t * den) for t in x))
+def _normal_form(d, gens, dual):
+    """``(rays, lineality)`` of the cone spanned by ``gens``, given vectors
+    ``dual`` that span its dual cone.
+
+    The lineality space is where every dual vector vanishes.  A face is cut
+    out by the dual vectors vanishing on it, so the face spanned by a
+    generator is named by its tight set, and smaller faces have larger tight
+    sets.  A generator off the lineality space therefore spans an extreme ray
+    exactly when no other generator off it has a strictly larger tight set
+    (Fukuda-Prodon, *Double description method revisited*, 1996).
+    """
+    if dual:
+        lineality = hnf_basis(kernel_basis(tuple(dual)))
+    else:
+        lineality = mat_identity(d)
+    tight = [
+        frozenset(i for i, f in enumerate(dual) if not _dot(f, g)) for g in gens
+    ]
+    proper = {t for t in tight if len(t) < len(dual)}
+    rays = set()
+    for g, t in zip(gens, tight):
+        if t in proper and not any(t < u for u in proper):
+            # Kill the coordinate at each Hermite pivot; pivots are positive,
+            # so each step scales the rational projection by a positive factor.
+            x = g
+            for b in lineality:
+                p = next(i for i, v in enumerate(b) if v)
+                if x[p]:
+                    x = tuple(b[p] * xi - x[p] * bi for xi, bi in zip(x, b))
+            rays.add(primitive(x))
+    return tuple(sorted(rays)), lineality
+
+
+def _cone(d, rays, lineality) -> RationalCone:
+    """A cone built from a normal form without canonicalizing it again."""
+    c = object.__new__(RationalCone)
+    c.ambient_rank, c.rays, c.lineality = d, rays, lineality
+    return c
 
 
 @memo
 def _canonical_form(d, generators):
-    """``(rays, lineality)`` of the cone in Z^d spanned by a tuple of integer
-    vectors."""
+    """The normal forms ``(rays, lineality)`` of the cone in Z^d spanned by a
+    tuple of integer vectors and of its dual, from one double description
+    pass."""
     gens = []
     for v in generators:
         if len(v) != d:
             raise ValueError("generator length does not match the ambient rank")
         if any(v):
             gens.append(primitive(v))
-    # Pass 1: half-space description of the dual; pass 2: back to an extreme
-    # generator description of the original cone.
     dlin, drays = _dual_description(d, gens)
-    constraints = drays + dlin + [_neg(l) for l in dlin]
-    plin, prays = _dual_description(d, constraints)
-    if plin:
-        orth = kernel_basis(tuple(plin))
-        if orth:
-            lattice = kernel_basis(tuple(orth))
-        else:
-            lattice = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        lineality = hnf_basis(lattice)
-    else:
-        lineality = ()
-    rays = set()
-    for r in prays:
-        reduced = _reduce_mod_lineality(r, lineality)
-        if reduced is not None:
-            rays.add(reduced)
-    return tuple(sorted(rays)), lineality
+    dual = drays + dlin + [_neg(l) for l in dlin]
+    return _normal_form(d, gens, dual), _normal_form(d, dual, gens)
 
 
 class RationalCone:
@@ -183,7 +192,7 @@ class RationalCone:
         self.rays, self.lineality = _canonical_form(
             self.ambient_rank,
             tuple(tuple(int(x) for x in v) for v in generators),
-        )
+        )[0]
 
     def generating_vectors(self):
         """Rays plus both signs of the lineality basis: a generating set."""
@@ -211,10 +220,8 @@ class RationalCone:
 @memo
 def dual_cone(c: RationalCone) -> RationalCone:
     """The dual cone {y : <x, y> >= 0 for all x in c}, in canonical form."""
-    dlin, drays = _dual_description(c.ambient_rank, c.generating_vectors())
-    return RationalCone(
-        c.ambient_rank, tuple(drays) + tuple(dlin) + tuple(_neg(l) for l in dlin)
-    )
+    d = c.ambient_rank
+    return _cone(d, *_canonical_form(d, c.generating_vectors())[1])
 
 
 def contains(c: RationalCone, v) -> bool:
@@ -242,14 +249,6 @@ def is_sharp(c: RationalCone) -> bool:
     return not c.lineality
 
 
-def _face(c: RationalCone, rays) -> RationalCone:
-    """The face of ``c`` on a sorted subset of its rays: it shares the
-    lineality of ``c``, so it is in normal form without double description."""
-    f = object.__new__(RationalCone)
-    f.ambient_rank, f.rays, f.lineality = c.ambient_rank, rays, c.lineality
-    return f
-
-
 @memo
 def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     """Every face of the cone, from the minimal face up to the cone itself.
@@ -271,7 +270,10 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
                 labels.add(child)
                 queue.append(child)
     out = [
-        _face(c, tuple(c.rays[i] for i in sorted(label))) for label in labels
+        _cone(
+            c.ambient_rank, tuple(c.rays[i] for i in sorted(label)), c.lineality
+        )
+        for label in labels
     ]
     out.sort(key=lambda f: (dim(f), f.rays, f.lineality))
     return tuple(out)
@@ -294,7 +296,7 @@ def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
         + [v for l in da.lineality for v in (l, _neg(l))]
         + [v for l in db.lineality for v in (l, _neg(l))]
     )
-    lin, rays = _dual_description(a.ambient_rank, constraints)
-    return RationalCone(
-        a.ambient_rank, tuple(rays) + tuple(lin) + tuple(_neg(l) for l in lin)
-    )
+    d = a.ambient_rank
+    lin, rays = _dual_description(d, constraints)
+    gens = rays + lin + [_neg(l) for l in lin]
+    return _cone(d, *_normal_form(d, gens, constraints))

@@ -21,13 +21,13 @@ from .cones import (
     is_sharp,
 )
 from .cones import faces as cone_faces
-from .lattice import mat_identity, memo, pairing, solve_integer
+from .lattice import mat_identity, memo, pairing
 from .monoids import (
     FiberReport,
     GhostReport,
     ToricMonoid,
     _face_with_indices,
-    _gp_matrix,
+    _generator_coordinates,
     ghost,
     gp,
     hilbert_basis,
@@ -313,15 +313,6 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
-def _coordinate_monoid(g: ToricMonoid) -> ToricMonoid:
-    """Rewrite a monoid on a basis of its own generated group: a monoid in
-    Z^k, k the rank of gp(g), with full generated group by construction."""
-    bmat = _gp_matrix(g)
-    return ToricMonoid(
-        len(gp(g)), tuple(solve_integer(bmat, v) for v in g.generators)
-    )
-
-
 def affine_atlas(g: ToricMonoid) -> FanOfMonoids:
     """The invariant affine charts of a monoid, one per face.
 
@@ -330,7 +321,7 @@ def affine_atlas(g: ToricMonoid) -> FanOfMonoids:
     coordinates of the generated group, so its entries always have full
     generated group regardless of how ``g`` sits in its ambient lattice.
     """
-    inner = _coordinate_monoid(g)
+    inner = ToricMonoid(len(gp(g)), _generator_coordinates(g))
     w = weight_cone(inner)
     entries = []
     for tau in cone_faces(w):

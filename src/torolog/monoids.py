@@ -158,6 +158,13 @@ def _gp_matrix(g: ToricMonoid):
 
 
 @memo
+def _generator_coordinates(g: ToricMonoid):
+    """Coordinates of each generator on the basis ``gp(g)``."""
+    bmat = _gp_matrix(g)
+    return tuple(solve_integer(bmat, v) for v in g.generators)
+
+
+@memo
 def _splitting(g: ToricMonoid):
     """Unit/sharp decomposition used by the membership search and ``edge``.
 
@@ -433,13 +440,8 @@ def saturate(g: ToricMonoid) -> ToricMonoid:
     basis = gp(g)
     if not basis:
         return ToricMonoid(g.ambient_rank, ())
-    k = len(basis)
+    hb = hilbert_basis(RationalCone(len(basis), _generator_coordinates(g)))
     bmat = _gp_matrix(g)
-    coords = []
-    for v in g.generators:
-        c = solve_integer(bmat, v)
-        coords.append(c)
-    hb = hilbert_basis(RationalCone(k, tuple(coords)))
     return ToricMonoid(g.ambient_rank, tuple(mat_vec(bmat, h) for h in hb))
 
 
@@ -459,15 +461,13 @@ def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
     """The quotient of the generated group by the face's group, with the
     images of all generators in free/torsion coordinates."""
     _require_face(g, f)
-    basis = gp(g)
-    k = len(basis)
-    bmat = _gp_matrix(g)
-    face_coords = [solve_integer(bmat, v) for v in f.monoid.generators]
+    k = len(gp(g))
+    coords = _generator_coordinates(g)
     cols = tuple(
-        tuple(c[i] for c in face_coords) for i in range(k)
+        tuple(coords[j][i] for j in f.generator_indices) for i in range(k)
     )
     s, u, v = snf(cols)
-    diag = [s[i][i] for i in range(min(k, len(face_coords)))]
+    diag = [s[i][i] for i in range(min(k, len(f.generator_indices)))]
     nonzero = [i for i, dv in enumerate(diag) if dv != 0]
     torsion_pos = [i for i in nonzero if diag[i] > 1]
     free_pos = [i for i in range(k) if i not in set(nonzero)]
@@ -475,8 +475,8 @@ def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
         k - len(nonzero), tuple(diag[i] for i in torsion_pos)
     )
     images = []
-    for gen in g.generators:
-        y = mat_vec(u, solve_integer(bmat, gen))
+    for c in coords:
+        y = mat_vec(u, c)
         free = tuple(y[i] for i in free_pos)
         tors = tuple(y[i] % diag[i] for i in torsion_pos)
         images.append((free, tors))

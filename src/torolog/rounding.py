@@ -33,6 +33,7 @@ from .monoids import (
     MonoidFace,
     ToricMonoid,
     _face_with_indices,
+    _generator_coordinates,
     _gp_matrix,
     _require_face,
     faces,
@@ -232,8 +233,7 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
 
     # Angular part: interpolate a character of the generated group through
     # the given angles, then verify every generator relation.
-    bmat = _gp_matrix(g)
-    gen_coords = tuple(_coordinates(bmat, v) for v in g.generators)
+    gen_coords = _generator_coordinates(g)
     combos = _solving_combinations(gen_coords, len(gp(g)))
     theta = tuple(_normalize_angle(_combine(c, angles)) for c in combos)
     for coords, a in zip(gen_coords, angles):
@@ -250,10 +250,7 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
             )
 
     # Radial part: same interpolation, with logarithms over the face group.
-    fmat = _gp_matrix(face.monoid)
-    face_coords = tuple(
-        _coordinates(fmat, g.generators[i]) for i in support
-    )
+    face_coords = _generator_coordinates(face.monoid)
     logs = tuple(math.log(float(radii[i])) for i in support)
     rho_combos = _solving_combinations(face_coords, len(gp(face.monoid)))
     rho = tuple(float(_combine(c, logs)) for c in rho_combos)

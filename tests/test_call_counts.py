@@ -68,6 +68,24 @@ def test_faces_cost_no_double_description_beyond_the_dual(monkeypatch):
         assert 0 < walk <= dual
 
 
+def test_a_cone_and_its_dual_come_from_one_double_description_pass(
+    monkeypatch,
+):
+    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 2, 1))
+    built, a = count_calls(
+        monkeypatch, cones, "_dual_description", lambda: RationalCone(3, gens)
+    )
+    b = RationalCone(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    dual, _ = count_calls(
+        monkeypatch, cones, "_dual_description", lambda: cones.dual_cone(a)
+    )
+    meet, _ = count_calls(
+        monkeypatch, cones, "_dual_description", lambda: cones.intersect(a, b)
+    )
+    # Two passes for the duals of a and b, one for the merged facets.
+    assert (built, dual, meet) == (1, 1, 3)
+
+
 def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):
     # Every cone of an atlas is a face of the one maximal cone.
     calls, report = count_calls(

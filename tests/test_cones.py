@@ -5,10 +5,12 @@ everything, first quadrant self-dual) are classical and re-derived inline;
 the slanted examples carry their hand derivations as comments.  The
 membership property test is backed by an independent certificate search
 (Gaussian elimination over Fractions on small generator subsets) that shares
-no code with the library.
+no code with the library.  The one-pass normal forms are compared with the
+two-pass construction they replaced, kept at the end as an oracle.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ import pytest
 from conftest import random_cone
 from torolog.cones import (
     RationalCone,
+    _dual_description,
     contains,
     dim,
     dual_cone,
@@ -25,6 +28,7 @@ from torolog.cones import (
     is_face_of,
     is_sharp,
 )
+from torolog.lattice import hnf_basis, kernel_basis, primitive
 
 QUADRANT = RationalCone(2, ((1, 0), (0, 1)))
 UPPER_HALF_PLANE = RationalCone(2, ((1, 0), (-1, 0), (0, 1)))
@@ -378,3 +382,113 @@ def test_faces_equal_their_rebuild_by_double_description():
             rebuilt = RationalCone(c.ambient_rank, f.rays + lin)
             assert f == rebuilt and hash(f) == hash(rebuilt)
     assert with_lineality >= 10
+
+
+# ---------------------------------------------------------------------------
+# Two-pass oracle: the normal form by double description there and back
+# ---------------------------------------------------------------------------
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
+def _reduce_mod_lineality(v, lin):
+    """Canonical representative of a ray modulo the lineality space: the
+    projection killing the coordinates at the Hermite pivot rows, rescaled to
+    a primitive integer vector.  Returns None if v lies in the space."""
+    x = [Fraction(t) for t in v]
+    for b in lin:
+        p = next(i for i, t in enumerate(b) if t)
+        if x[p]:
+            coef = x[p] / b[p]
+            x = [xi - coef * bi for xi, bi in zip(x, b)]
+    if not any(x):
+        return None
+    den = math.lcm(*(t.denominator for t in x))
+    return primitive(tuple(int(t * den) for t in x))
+
+
+def _canonical_form(d, generators):
+    """``(rays, lineality)`` of the cone in Z^d spanned by a tuple of integer
+    vectors."""
+    gens = []
+    for v in generators:
+        if len(v) != d:
+            raise ValueError("generator length does not match the ambient rank")
+        if any(v):
+            gens.append(primitive(v))
+    # Pass 1: half-space description of the dual; pass 2: back to an extreme
+    # generator description of the original cone.
+    dlin, drays = _dual_description(d, gens)
+    constraints = drays + dlin + [_neg(l) for l in dlin]
+    plin, prays = _dual_description(d, constraints)
+    if plin:
+        orth = kernel_basis(tuple(plin))
+        if orth:
+            lattice = kernel_basis(tuple(orth))
+        else:
+            lattice = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        lineality = hnf_basis(lattice)
+    else:
+        lineality = ()
+    rays = set()
+    for r in prays:
+        reduced = _reduce_mod_lineality(r, lineality)
+        if reduced is not None:
+            rays.add(reduced)
+    return tuple(sorted(rays)), lineality
+
+
+def oracle_dual(d, generators):
+    """Normal form of the dual: a pass to its generators, then two more."""
+    lin, rays = _dual_description(d, generators)
+    return _canonical_form(d, tuple(rays) + tuple(lin) + tuple(map(_neg, lin)))
+
+
+def spanning_set(form):
+    rays, lineality = form
+    return rays + lineality + tuple(map(_neg, lineality))
+
+
+def oracle_intersect(d, a, b):
+    (ra, la), (rb, lb) = (oracle_dual(d, spanning_set(c)) for c in (a, b))
+    constraints = ra + rb + tuple(v for l in la + lb for v in (l, _neg(l)))
+    lin, rays = _dual_description(d, constraints)
+    return _canonical_form(d, tuple(rays) + tuple(lin) + tuple(map(_neg, lin)))
+
+
+def awkward_generators(rng, rank):
+    """Generators with zero vectors, duplicates and opposite pairs; entries
+    shrink as the rank grows so the corpus stays fast."""
+    bound = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}[rank]
+    gens = [
+        tuple(rng.randint(-bound, bound) for _ in range(rank))
+        for _ in range(rng.randint(0, rank + 2))
+    ]
+    if rng.random() < 0.1:
+        gens.append((0,) * rank)
+    if gens and rng.random() < 0.2:
+        gens.append(rng.choice(gens))
+    if gens and rng.random() < 0.3:
+        gens.append(_neg(rng.choice(gens)))
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
+def test_one_pass_normal_forms_match_the_two_pass_oracle():
+    rng = random.Random(91)
+    with_lineality = 0
+    for _ in range(600):
+        rank = rng.randint(1, 5)
+        gens = awkward_generators(rng, rank)
+        other = awkward_generators(rng, rank)
+        a, b = RationalCone(rank, gens), RationalCone(rank, other)
+        with_lineality += bool(a.lineality)
+        assert (a.rays, a.lineality) == _canonical_form(rank, gens)
+        dual = dual_cone(a)
+        assert (dual.rays, dual.lineality) == oracle_dual(rank, gens)
+        meet = intersect(a, b)
+        assert (meet.rays, meet.lineality) == oracle_intersect(
+            rank, (a.rays, a.lineality), (b.rays, b.lineality)
+        )
+    assert with_lineality >= 60
