@@ -7,13 +7,16 @@ Two generator presentations of the same cone therefore construct equal,
 hash-equal objects.
 
 The workhorse is an incremental double description pass (`_dual_description`)
-that converts a half-space description into a generator description.  One
-pass over a cone's generators yields vectors spanning its dual, and the pair
-of spanning sets gives both normal forms: the lineality of each cone is the
-integer kernel of the other's vectors, and its extreme rays are the vectors
-whose tight sets on the other's are maximal.  So a cone and its dual come
-from the same pass, and intersection needs one more.  All arithmetic is in
-integers.  Canonical forms, duals and face lattices are memoized by value.
+that converts a half-space description into a generator description.  Given
+vectors spanning a cone and vectors spanning its dual, the normal form needs
+no pass: the lineality is the integer kernel of the dual's vectors, and the
+extreme rays are the vectors whose tight sets on the dual's are maximal.  So
+every cone is built with a spanning set of its dual.  Construction gets it
+from one pass over the generators; the dual of a cone gets the cone's own
+generators; a face gets its parent's dual and the negated facet normals
+tight on it; an intersection gets both duals.  Duals, faces and duals of
+duals therefore cost no pass, and intersection costs one.  All arithmetic is
+in integers.  Canonical forms, duals and face lattices are memoized by value.
 """
 
 from __future__ import annotations
@@ -150,18 +153,23 @@ def _normal_form(d, gens, dual):
     return tuple(sorted(rays)), lineality
 
 
-def _cone(d, rays, lineality) -> RationalCone:
-    """A cone built from a normal form without canonicalizing it again."""
+def _cone(d, rays, lineality, dual_span) -> RationalCone:
+    """A cone built from a normal form without canonicalizing it again.
+
+    ``dual_span`` is a tuple of vector tuples that together span the dual
+    cone; the parts let the faces of a cone share its dual's vectors.
+    """
     c = object.__new__(RationalCone)
     c.ambient_rank, c.rays, c.lineality = d, rays, lineality
+    c._dual_span = dual_span
     return c
 
 
 @memo
 def _canonical_form(d, generators):
-    """The normal forms ``(rays, lineality)`` of the cone in Z^d spanned by a
-    tuple of integer vectors and of its dual, from one double description
-    pass."""
+    """The normal form ``(rays, lineality)`` of the cone in Z^d spanned by a
+    tuple of integer vectors, and vectors spanning its dual, from one double
+    description pass."""
     gens = []
     for v in generators:
         if len(v) != d:
@@ -169,8 +177,8 @@ def _canonical_form(d, generators):
         if any(v):
             gens.append(primitive(v))
     dlin, drays = _dual_description(d, gens)
-    dual = drays + dlin + [_neg(l) for l in dlin]
-    return _normal_form(d, gens, dual), _normal_form(d, dual, gens)
+    dual = tuple(drays + dlin + [_neg(l) for l in dlin])
+    return _normal_form(d, gens, dual), dual
 
 
 class RationalCone:
@@ -180,19 +188,21 @@ class RationalCone:
     space, lexicographically sorted); ``lineality`` is the Hermite basis of
     the saturated lattice of the largest linear subspace contained in the
     cone.  Construction canonicalizes any generator list, so equality and
-    hashing are structural.
+    hashing are structural.  ``_dual_span`` holds vectors spanning the dual
+    cone, as a tuple of vector tuples; every cone is built with it.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_dual_span")
 
     def __init__(self, ambient_rank, generators=()):
         self.ambient_rank = int(ambient_rank)
         if self.ambient_rank < 0:
             raise ValueError(f"ambient rank {self.ambient_rank} is negative")
-        self.rays, self.lineality = _canonical_form(
+        (self.rays, self.lineality), dual = _canonical_form(
             self.ambient_rank,
             tuple(tuple(int(x) for x in v) for v in generators),
-        )[0]
+        )
+        self._dual_span = (dual,)
 
     def generating_vectors(self):
         """Rays plus both signs of the lineality basis: a generating set."""
@@ -221,7 +231,9 @@ class RationalCone:
 def dual_cone(c: RationalCone) -> RationalCone:
     """The dual cone {y : <x, y> >= 0 for all x in c}, in canonical form."""
     d = c.ambient_rank
-    return _cone(d, *_canonical_form(d, c.generating_vectors())[1])
+    gens = c.generating_vectors()
+    span = [v for part in c._dual_span for v in part]
+    return _cone(d, *_normal_form(d, span, gens), (gens,))
 
 
 def contains(c: RationalCone, v) -> bool:
@@ -257,21 +269,34 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     face arises by repeatedly intersecting with supporting hyperplanes of
     facet normals, so a breadth-first walk over tight ray-index sets visits
     each face exactly once.  Sorted by (dimension, rays) for determinism.
+
+    The dual of a face tau is the dual of the cone plus the negated facet
+    normals vanishing on tau, so each face shares the dual's spanning vectors.
     """
-    facets = dual_cone(c).rays
+    dual = dual_cone(c)
+    shared = dual.generating_vectors()
+    # The rays each facet normal vanishes on.
+    zeros = [
+        frozenset(i for i, r in enumerate(c.rays) if not _dot(f, r))
+        for f in dual.rays
+    ]
     start = frozenset(range(len(c.rays)))
     labels = {start}
     queue = [start]
     while queue:
         cur = queue.pop()
-        for f in facets:
-            child = frozenset(i for i in cur if _dot(f, c.rays[i]) == 0)
+        for z in zeros:
+            child = cur & z
             if child != cur and child not in labels:
                 labels.add(child)
                 queue.append(child)
+    negated = [_neg(f) for f in dual.rays]
     out = [
         _cone(
-            c.ambient_rank, tuple(c.rays[i] for i in sorted(label)), c.lineality
+            c.ambient_rank,
+            tuple(c.rays[i] for i in sorted(label)),
+            c.lineality,
+            (shared, tuple(n for n, z in zip(negated, zeros) if label <= z)),
         )
         for label in labels
     ]
@@ -290,13 +315,10 @@ def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("cones live in different ambient ranks")
     da, db = dual_cone(a), dual_cone(b)
-    constraints = (
-        list(da.rays)
-        + list(db.rays)
-        + [v for l in da.lineality for v in (l, _neg(l))]
-        + [v for l in db.lineality for v in (l, _neg(l))]
+    constraints = da.rays + db.rays + tuple(
+        v for l in da.lineality + db.lineality for v in (l, _neg(l))
     )
     d = a.ambient_rank
     lin, rays = _dual_description(d, constraints)
     gens = rays + lin + [_neg(l) for l in lin]
-    return _cone(d, *_normal_form(d, gens, constraints))
+    return _cone(d, *_normal_form(d, gens, constraints), (constraints,))

@@ -54,6 +54,8 @@ def test_validating_the_hexagon_atlas_searches_no_membership(monkeypatch):
 
 
 def test_faces_cost_no_double_description_beyond_the_dual(monkeypatch):
+    # A built cone carries vectors spanning its dual, and each face gets its
+    # dual's spanning vectors from the cone's dual.
     for c in (
         exponent_cone(HEXAGON),
         RationalCone(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 2))),
@@ -65,7 +67,7 @@ def test_faces_cost_no_double_description_beyond_the_dual(monkeypatch):
         walk, _ = count_calls(
             monkeypatch, cones, "_dual_description", lambda: cones.faces(c)
         )
-        assert 0 < walk <= dual
+        assert (dual, walk) == (0, 0)
 
 
 def test_a_cone_and_its_dual_come_from_one_double_description_pass(
@@ -82,8 +84,26 @@ def test_a_cone_and_its_dual_come_from_one_double_description_pass(
     meet, _ = count_calls(
         monkeypatch, cones, "_dual_description", lambda: cones.intersect(a, b)
     )
-    # Two passes for the duals of a and b, one for the merged facets.
-    assert (built, dual, meet) == (1, 1, 3)
+    # The pass that builds a cone spans its dual, so only the merged facets
+    # of the intersection need one more.
+    assert (built, dual, meet) == (1, 0, 1)
+
+
+def test_an_atlas_and_its_validation_make_one_pass_per_chart(monkeypatch):
+    built, atlas = count_calls(
+        monkeypatch, cones, "_dual_description", lambda: affine_atlas(HEXAGON)
+    )
+    both, report = count_calls(
+        monkeypatch, cones, "_dual_description",
+        lambda: validate_fan_of_monoids(affine_atlas(HEXAGON)),
+    )
+    # The atlas builds the exponent cone of the monoid it starts from; the
+    # weight cone, its faces and their duals cost no pass.  Validation builds
+    # the exponent cone of every other chart, and takes its weight cone as
+    # that cone's dual.
+    assert len(atlas.entries) == 14
+    assert (built, both - built) == (1, 13)
+    assert report.failures == ()
 
 
 def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):

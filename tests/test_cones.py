@@ -6,7 +6,8 @@ the slanted examples carry their hand derivations as comments.  The
 membership property test is backed by an independent certificate search
 (Gaussian elimination over Fractions on small generator subsets) that shares
 no code with the library.  The one-pass normal forms are compared with the
-two-pass construction they replaced, kept at the end as an oracle.
+two-pass construction they replaced, kept at the end as an oracle, and so
+is the dual that every kind of cone reads from the vectors it was built with.
 """
 
 import itertools
@@ -478,6 +479,9 @@ def awkward_generators(rng, rank):
 def test_one_pass_normal_forms_match_the_two_pass_oracle():
     rng = random.Random(91)
     with_lineality = 0
+    # The memo is bypassed, so every dual is read from the vectors spanning
+    # it that the cone at hand was built with.
+    dual_of = dual_cone.__wrapped__
     for _ in range(600):
         rank = rng.randint(1, 5)
         gens = awkward_generators(rng, rank)
@@ -485,10 +489,17 @@ def test_one_pass_normal_forms_match_the_two_pass_oracle():
         a, b = RationalCone(rank, gens), RationalCone(rank, other)
         with_lineality += bool(a.lineality)
         assert (a.rays, a.lineality) == _canonical_form(rank, gens)
-        dual = dual_cone(a)
-        assert (dual.rays, dual.lineality) == oracle_dual(rank, gens)
         meet = intersect(a, b)
         assert (meet.rays, meet.lineality) == oracle_intersect(
             rank, (a.rays, a.lineality), (b.rays, b.lineality)
         )
+        # Construction, duals, intersections and faces each build their cone
+        # with vectors spanning its dual.
+        for x in (a, dual_of(a), meet) + faces(a):
+            expected = oracle_dual(rank, x.generating_vectors())
+            span = tuple(v for part in x._dual_span for v in part)
+            assert _canonical_form(rank, span) == expected
+            dual = dual_of(x)
+            assert (dual.rays, dual.lineality) == expected
+            assert dual_of(dual) == x
     assert with_lineality >= 60

@@ -53,7 +53,19 @@ def test_every_memo_is_bounded_by_the_one_size_constant():
 
 def test_instances_carry_no_cache_slots():
     assert ToricMonoid.__slots__ == ("ambient_rank", "generators")
-    assert RationalCone.__slots__ == ("ambient_rank", "rays", "lineality")
+    # ``_dual_span`` is construction data, not a cache: vectors spanning the
+    # dual, which only the code that builds a cone knows.
+    assert RationalCone.__slots__ == (
+        "ambient_rank", "rays", "lineality", "_dual_span",
+    )
+    clear_memos()
+    c = RationalCone(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 2)))
+    other = RationalCone(3, ((0, 1, 0), (0, 0, 1), (1, 0, 1)))
+    built = (c, cones.dual_cone(c), cones.intersect(c, other))
+    for x in built + cones.faces(c) + cones.faces(other):
+        span = [v for part in x._dual_span for v in part]
+        # The cone the vectors span has x for its dual.
+        assert cones.dual_cone(RationalCone(3, span)) == x
 
 
 def test_lattice_functions_accept_lists_of_lists():
