@@ -291,17 +291,34 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
                 labels.add(child)
                 queue.append(child)
     negated = [_neg(f) for f in dual.rays]
-    out = [
-        _cone(
+    # Each face's dimension, without a rank computation where the walk knows
+    # it.  A facet normal's zero set is the ray set of a facet, one dimension
+    # below the cone.  Modulo the lineality a face is pointed and its rays
+    # are extreme, and a pointed cone of dimension at most 2 has at most 2
+    # extreme rays, so a face with up to three rays has that many dimensions
+    # above the lineality.
+    ell, top = len(c.lineality), dim(c)
+    facets = set(zeros)
+    keyed = []
+    for label in labels:
+        f = _cone(
             c.ambient_rank,
             tuple(c.rays[i] for i in sorted(label)),
             c.lineality,
             (shared, tuple(n for n, z in zip(negated, zeros) if label <= z)),
         )
-        for label in labels
-    ]
-    out.sort(key=lambda f: (dim(f), f.rays, f.lineality))
-    return tuple(out)
+        if label == start:
+            k = top
+        elif label in facets:
+            k = top - 1
+        elif len(label) <= 3:
+            k = ell + len(label)
+        else:
+            k = dim(f)
+        keyed.append(((k, f.rays), f))
+    # Faces share the lineality and differ in their rays, so keys never tie.
+    keyed.sort(key=lambda kf: kf[0])
+    return tuple(f for _, f in keyed)
 
 
 def is_face_of(f: RationalCone, c: RationalCone) -> bool:

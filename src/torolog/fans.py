@@ -175,21 +175,32 @@ class FanStratum:
 
 
 def _maximal_cones(cones) -> list:
-    """The cones of the list that are a proper face of no other one, read
-    off the face lattices, in the order given."""
-    proper = {face for c in cones for face in cone_faces(c) if face != c}
-    return [c for c in cones if c not in proper]
+    """The cones of the list that are a proper face of no other one, in the
+    order given.
+
+    A proper face has a smaller dimension, and a face of a face is a face.
+    So, scanning by dimension downwards, a cone is maximal unless it is a
+    face of a maximal cone found before it, and only the face lattices of
+    the maximal cones are read.
+    """
+    top, below = set(), set()
+    for c in sorted(cones, key=dim, reverse=True):
+        if c not in below:
+            top.add(c)
+            below.update(cone_faces(c))
+    return [c for c in cones if c in top]
 
 
 def validate_fan(f: Fan) -> ValidationReport:
     """Check sharpness, face closure, and that every two cones meet in a
     cone of the fan that is a face of both.
 
-    Once the cones are sharp and closed under faces, only pairs of maximal
-    cones are intersected: if each such pair meets in a face of both, so
-    does every pair of their faces, and the fan is valid.  Otherwise every
-    pair of cones is intersected, so each violation becomes one report
-    entry; a valid fan yields an empty failure list.
+    Once the cones are sharp, only the maximal cones are read: if their
+    faces are in the fan, so are the faces of every cone, and if each pair
+    of them meets in a face of both, so does every pair of their faces, and
+    the fan is valid.  Otherwise the faces of every cone are looked up and
+    every pair of cones is intersected, so each violation becomes one
+    report entry; a valid fan yields an empty failure list.
     """
     failures = []
     present = set(f.cones)
@@ -198,6 +209,15 @@ def validate_fan(f: Fan) -> ValidationReport:
             failures.append(
                 ValidationFailure("not-sharp", f"cone {c!r} has lineality")
             )
+    if not failures:
+        top = _maximal_cones(f.cones)
+        if all(
+            face in present for c in top for face in cone_faces(c)
+        ) and all(
+            is_face_of(meet := intersect(a, b), a) and is_face_of(meet, b)
+            for a, b in combinations(top, 2)
+        ):
+            return ValidationReport(())
     for c in f.cones:
         for face in cone_faces(c):
             if face not in present:
@@ -206,13 +226,6 @@ def validate_fan(f: Fan) -> ValidationReport:
                         "missing-face", f"face {face!r} of {c!r} is not in the fan"
                     )
                 )
-    if not failures:
-        top = _maximal_cones(f.cones)
-        if all(
-            is_face_of(meet := intersect(a, b), a) and is_face_of(meet, b)
-            for a, b in combinations(top, 2)
-        ):
-            return ValidationReport(())
     n = len(f.cones)
     for i in range(n):
         for j in range(i + 1, n):
@@ -248,6 +261,27 @@ def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
     )
 
 
+def _maximal_charts_agree(fm: FanOfMonoids, charts: dict) -> bool:
+    """Whether every maximal chart has full group and its key cone as weight
+    cone, and every face chart equals the localization of the maximal chart
+    along the face vanishing on the face cone.  ``charts`` maps each cone of
+    a valid fan to its one monoid."""
+    identity = mat_identity(fm.exponent_rank)
+    for sigma in _maximal_cones([c for c, _ in fm.entries]):
+        monoid = charts[sigma]
+        if gp(monoid) != identity or weight_cone(monoid) != sigma:
+            return False
+        for tau in cone_faces(sigma):
+            if tau == sigma:
+                continue
+            phi = _face_with_indices(monoid, _perp_face_indices(monoid, tau))
+            if phi is None or not monoid_equal(
+                charts[tau], localize(monoid, phi)
+            ):
+                return False
+    return True
+
+
 @memo
 def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     """Check the fan axioms plus the monoid conditions.
@@ -257,8 +291,27 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     for every face pair ``tau`` of ``sigma``, the entry at ``tau`` equal to
     the localization of the entry at ``sigma`` along the face vanishing on
     ``tau``.  All failures are reported.
+
+    Once the fan axioms hold and no two entries share a cone, only the
+    maximal charts are checked: their group, their weight cone, and that
+    each of their face charts is their localization along the face
+    vanishing on the face cone.  That implies every other condition.  A
+    localization keeps the generated group, and the localization of a chart
+    with weight cone ``sigma`` along the face vanishing on ``tau`` has weight
+    cone ``(sigma^v + lin(sigma^v & tau^perp))^v = tau`` (Cox-Little-Schenck,
+    *Toric Varieties*, Prop. 1.2.10).  Localization is transitive, so each
+    face pair below a maximal chart is compatible too.  If any of these
+    checks fails, every entry and every face pair is checked, so each
+    violation becomes one report entry.
     """
     failures = list(validate_fan(fm.fan()).failures)
+    charts = dict(fm.entries)
+    if (
+        not failures
+        and len(charts) == len(fm.entries)
+        and _maximal_charts_agree(fm, charts)
+    ):
+        return ValidationReport(())
     n = fm.exponent_rank
     identity = mat_identity(n)
 
@@ -360,8 +413,10 @@ def strata(fm: FanOfMonoids) -> tuple:
     maximal = _maximal_cones(cones)
     rows = []
     for cone in cones:
-        # Validation found this face in every chart, its group the entry's
-        # unit group, so every chart gives the same ghost invariants.
+        # Validation found the entry at this cone to be the localization of
+        # every maximal chart through it along the face vanishing on the
+        # cone, so that face's group is the entry's unit group in each of
+        # them, and every maximal chart gives the same ghost invariants.
         monoid = lookup[next(m for m in maximal if is_face_of(cone, m))]
         phi = _face_with_indices(monoid, _perp_face_indices(monoid, cone))
         rows.append(

@@ -5,16 +5,20 @@ failure reports) and enforces its wall-clock budget.  Randomized criteria use
 fixed seeds so the corpus is identical on every run.
 """
 
+import io
+import json
 import math
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from conftest import random_cone, random_monoid
+from test_memo import clear_memos
 from test_monoids import brute_force_membership, witness_is_valid
 from test_rounding import brute_force_components, count_rounding_points
 
+from torolog.cli import fanmon_to_json, main
 from torolog.cones import RationalCone, dim, dual_cone
 from torolog.fans import FanOfMonoids, affine_atlas, validate_fan_of_monoids
 from torolog.lattice import mat_identity, solve_integer
@@ -176,6 +180,20 @@ def test_criterion_fan_of_monoids_mutation_suite():
                 assert "weight-cone-mismatch" in {
                     f.code for f in report.failures
                 }
+
+
+def test_criterion_fanmon_check_of_the_130_chart_parabola_atlas(tmp_path):
+    # The atlas of the cone over the lattice 64-gon, generated by (t, t^2, 1)
+    # for t < 64, checked from its payload on cold memos as one run sees it.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    path = tmp_path / "atlas.json"
+    path.write_text(json.dumps(fanmon_to_json(affine_atlas(parabola))))
+    clear_memos()
+    out = io.StringIO()
+    with criterion("fanmon check of the 130-chart parabola atlas", 1.0):
+        with redirect_stdout(out):
+            code = main(["fanmon", "check", "--input", str(path)])
+        assert (code, out.getvalue()) == (0, "PASS\n")
 
 
 def test_criterion_rounding_fiber_suite():

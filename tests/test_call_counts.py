@@ -89,7 +89,7 @@ def test_a_cone_and_its_dual_come_from_one_double_description_pass(
     assert (built, dual, meet) == (1, 0, 1)
 
 
-def test_an_atlas_and_its_validation_make_one_pass_per_chart(monkeypatch):
+def test_an_atlas_makes_one_pass_and_its_validation_none(monkeypatch):
     built, atlas = count_calls(
         monkeypatch, cones, "_dual_description", lambda: affine_atlas(HEXAGON)
     )
@@ -98,12 +98,31 @@ def test_an_atlas_and_its_validation_make_one_pass_per_chart(monkeypatch):
         lambda: validate_fan_of_monoids(affine_atlas(HEXAGON)),
     )
     # The atlas builds the exponent cone of the monoid it starts from; the
-    # weight cone, its faces and their duals cost no pass.  Validation builds
-    # the exponent cone of every other chart, and takes its weight cone as
-    # that cone's dual.
+    # weight cone, its faces and their duals cost no pass.  Validation reads
+    # only the one maximal chart, which is that monoid, and finds every face
+    # chart structurally equal to its localization.
     assert len(atlas.entries) == 14
-    assert (built, both - built) == (1, 13)
+    assert (built, both - built) == (1, 0)
     assert report.failures == ()
+
+
+def test_validating_the_130_chart_parabola_atlas_costs_no_pass_or_search(
+    monkeypatch,
+):
+    # The cone over the lattice 64-gon: twice as many charts as the memos
+    # hold entries, so no memo can carry a per-chart check.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    for module, name in ((cones, "_dual_description"), (monoids, "membership")):
+        built, atlas = count_calls(
+            monkeypatch, module, name, lambda: affine_atlas(parabola)
+        )
+        both, report = count_calls(
+            monkeypatch, module, name,
+            lambda: validate_fan_of_monoids(affine_atlas(parabola)),
+        )
+        assert len(atlas.entries) == 130
+        assert both - built == 0, name
+        assert report.failures == ()
 
 
 def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):

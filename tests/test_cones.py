@@ -385,6 +385,43 @@ def test_faces_equal_their_rebuild_by_double_description():
     assert with_lineality >= 10
 
 
+def test_faces_come_in_the_order_of_their_dimensions():
+    # Oracle: the order by the rank of each face's rays, computed for every
+    # face, which the walk skips where it knows the dimension.
+    rng = random.Random(2027)
+    line = lambda d: ((0,) * (d - 1) + (1,), (0,) * (d - 1) + (-1,))
+    cube = lambda k: list(itertools.product((-1, 1), repeat=k))
+    # The cone over a triangle times a square has triangles and squares
+    # among its 3-dimensional faces, and neither are facets.
+    prism = [(1,) + t + q for t in ((0, 0), (1, 0), (0, 1)) for q in cube(2)]
+    corpus = [
+        RationalCone(5, [(1,) + v for v in cube(4)]),
+        RationalCone(6, [(1,) + v + (0,) for v in cube(4)] + list(line(6))),
+        RationalCone(5, prism),
+        RationalCone(6, [v + (0,) for v in prism] + list(line(6))),
+    ]
+    for _ in range(150):
+        rank = rng.randint(1, 5)
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randint(1, 2 * rank + 2))
+        ]
+        if rng.random() < 0.3:
+            gens += line(rank)
+        corpus.append(RationalCone(rank, gens))
+    seen = {False: 0, True: 0}
+    for c in corpus:
+        fs = faces(c)
+        assert fs == tuple(
+            sorted(fs, key=lambda f: (dim(f), f.rays, f.lineality))
+        )
+        # Faces whose dimension the walk has to compute.
+        seen[bool(c.lineality)] += sum(
+            len(f.rays) > 3 and dim(f) < dim(c) - 1 for f in fs
+        )
+    assert min(seen.values()) > 0
+
+
 # ---------------------------------------------------------------------------
 # Two-pass oracle: the normal form by double description there and back
 # ---------------------------------------------------------------------------

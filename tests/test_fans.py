@@ -1,5 +1,6 @@
 """Fans, fans of monoids, atlases, normal fans, and stratum enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -20,13 +21,24 @@ from torolog.fans import (
     FanStratum,
     ValidationFailure,
     ValidationReport,
+    _perp_face_indices,
     affine_atlas,
     normal_fan_of_monoids,
     strata,
     validate_fan,
     validate_fan_of_monoids,
 )
-from torolog.monoids import ToricMonoid, is_saturated, monoid_equal, saturate
+from torolog.lattice import mat_identity
+from torolog.monoids import (
+    ToricMonoid,
+    _face_with_indices,
+    gp,
+    is_saturated,
+    localize,
+    monoid_equal,
+    saturate,
+    weight_cone,
+)
 
 QUADRANT = RationalCone(2, ((1, 0), (0, 1)))
 X_RAY = RationalCone(2, ((1, 0),))
@@ -220,14 +232,17 @@ def maximal_cones(fan):
     ]
 
 
-def seeded_atlas_fans():
+def seeded_atlases():
     rng = random.Random(71)
     out = []
     for rank in (1, 2, 3, 4):
         for _ in range(6 if rank < 4 else 3):
-            g = random_monoid(rng, rank)
-            out.append(affine_atlas(g).fan())
+            out.append(affine_atlas(random_monoid(rng, rank)))
     return out
+
+
+def seeded_atlas_fans():
+    return [atlas.fan() for atlas in seeded_atlases()]
 
 
 def seeded_normal_fans():
@@ -347,6 +362,150 @@ def test_duplicate_cone_keys_are_flagged():
 def test_fan_of_monoids_rejects_mixed_ranks():
     with pytest.raises(ValueError):
         FanOfMonoids(2, ((QUADRANT, ToricMonoid(1, ((1,),))),))
+
+
+# ---------------------------------------------------------------------------
+# Validation through maximal charts against the per-chart oracle
+# ---------------------------------------------------------------------------
+
+def pairwise_validate_fan_of_monoids(fm):
+    """The monoid conditions checked on every chart and every face pair:
+    the slow route that ``validate_fan_of_monoids`` takes only for invalid
+    fans of monoids."""
+    failures = list(pairwise_validate_fan(fm.fan()).failures)
+    identity = mat_identity(fm.exponent_rank)
+    for cone, monoid in fm.entries:
+        if gp(monoid) != identity:
+            failures.append(
+                ValidationFailure(
+                    "group-not-full",
+                    f"generators of {monoid!r} span a proper subgroup",
+                )
+            )
+    seen = {}
+    for cone, monoid in fm.entries:
+        if cone in seen:
+            failures.append(
+                ValidationFailure(
+                    "duplicate-cone", f"two entries share the cone {cone!r}"
+                )
+            )
+        seen[cone] = monoid
+        if weight_cone(monoid) != cone:
+            failures.append(
+                ValidationFailure(
+                    "weight-cone-mismatch",
+                    f"weight cone of {monoid!r} is {weight_cone(monoid)!r}, "
+                    f"entry key is {cone!r}",
+                )
+            )
+    for cone, monoid in fm.entries:
+        for tau in cone_faces(cone):
+            if tau == cone or tau not in seen:
+                continue
+            phi = _face_with_indices(monoid, _perp_face_indices(monoid, tau))
+            if phi is None:
+                failures.append(
+                    ValidationFailure(
+                        "face-incompatible",
+                        f"generators of {monoid!r} vanishing on {tau!r} do "
+                        "not span a face",
+                    )
+                )
+                continue
+            if not monoid_equal(seen[tau], localize(monoid, phi)):
+                failures.append(
+                    ValidationFailure(
+                        "face-incompatible",
+                        f"entry at {tau!r} is not the localization of the "
+                        f"entry at {cone!r}",
+                    )
+                )
+    return ValidationReport(tuple(failures))
+
+
+def seeded_normal_fans_of_monoids():
+    """The rank-2 seeded normal fans and the normal fan of the unit cube.
+
+    The charts of the rank-3 seeded normal fans have up to 8 units that are
+    not in opposite pairs, and the membership search costs seconds on each
+    of them."""
+    fans = [f for f in seeded_normal_fans() if f.ambient_rank == 2]
+    fans.append(normal_fan(3, list(itertools.product((0, 1), repeat=3))))
+    return [normal_fan_of_monoids(f) for f in fans]
+
+
+def broken_fans_of_monoids(fm, rng):
+    """The fan of monoids under one seeded mutation each: a face chart with
+    a generator dropped, a face chart swapped for another chart, a maximal
+    chart in a subgroup of index 2, a maximal chart with a smaller weight
+    cone, a cone listed twice with different monoids, and a face dropped."""
+    rank, entries = fm.exponent_rank, list(fm.entries)
+    cones = [c for c, _ in entries]
+    top = set(maximal_cones(fm.fan()))
+    below = [i for i, c in enumerate(cones) if c not in top]
+    upper = [i for i, c in enumerate(cones) if c in top]
+    out = []
+
+    def replaced(i, monoid):
+        return FanOfMonoids(
+            rank, entries[:i] + [(cones[i], monoid)] + entries[i + 1:]
+        )
+
+    if below:
+        i = rng.choice(below)
+        gens = list(entries[i][1].generators)
+        if len(gens) > 1:
+            gens.pop(rng.randrange(len(gens)))
+            out.append(replaced(i, ToricMonoid(rank, gens)))
+        j = rng.choice([j for j in range(len(entries)) if j != i])
+        out.append(replaced(i, entries[j][1]))
+        out.append(FanOfMonoids(rank, entries[:i] + entries[i + 1:]))
+    i = rng.choice(upper)
+    monoid = entries[i][1]
+    halved = tuple(tuple(x * 2 for x in v) for v in monoid.generators)
+    out.append(replaced(i, ToricMonoid(rank, halved)))
+    sharp = [v for v in monoid.generators
+             if tuple(-x for x in v) not in monoid.generators]
+    if sharp:
+        flipped = tuple(-x for x in rng.choice(sharp))
+        out.append(replaced(i, ToricMonoid(rank, monoid.generators + (flipped,))))
+    j = rng.randrange(len(entries))
+    other = ToricMonoid(rank, entries[j][1].generators + (
+        tuple(rng.randint(-2, 2) for _ in range(rank)),
+    ))
+    if other != entries[j][1]:
+        out.append(FanOfMonoids(rank, entries + [(cones[j], other)]))
+    return out
+
+
+def test_monoid_validation_matches_the_oracle_on_atlases_and_normal_fans():
+    fans = seeded_atlases() + seeded_normal_fans_of_monoids()
+    assert {fm.exponent_rank for fm in fans} == {1, 2, 3, 4}
+    for fm in fans:
+        report = validate_fan_of_monoids(fm)
+        assert report.ok, codes(report)
+        assert report == pairwise_validate_fan_of_monoids(fm)
+
+
+def test_monoid_validation_matches_the_oracle_on_broken_fans_of_monoids():
+    rng = random.Random(83)
+    seen_codes = set()
+    broken_count = 0
+    for fm in seeded_atlases() + seeded_normal_fans_of_monoids():
+        for broken in broken_fans_of_monoids(fm, rng):
+            report = validate_fan_of_monoids(broken)
+            assert report == pairwise_validate_fan_of_monoids(broken), broken
+            seen_codes.update(codes(report))
+            broken_count += not report.ok
+    assert broken_count >= 100
+    assert {
+        "group-not-full",
+        "weight-cone-mismatch",
+        "duplicate-cone",
+        "face-incompatible",
+        "missing-face",
+    } <= seen_codes
 
 
 # ---------------------------------------------------------------------------
