@@ -166,7 +166,7 @@ def _generator_coordinates(g: ToricMonoid):
 
 @memo
 def _splitting(g: ToricMonoid):
-    """Unit/sharp decomposition used by the membership search and ``edge``.
+    """Unit/sharp decomposition used by the membership search.
 
     Returns ``(unit_idx, sharp_idx, w, unit_columns, relieve)`` where ``w`` is
     a functional vanishing exactly on the units among all generators, and
@@ -280,10 +280,7 @@ def membership(g: ToricMonoid, m) -> "tuple | None":
 
 def edge(g: ToricMonoid) -> MonoidFace:
     """The minimal face: the submonoid of units, which is a group."""
-    idx = _splitting(g)[0]
-    return MonoidFace(
-        ToricMonoid(g.ambient_rank, tuple(g.generators[i] for i in idx)), idx
-    )
+    return faces(g)[0]
 
 
 @memo

@@ -23,7 +23,7 @@ from numbers import Rational
 from .fans import FanOfMonoids, strata
 from .lattice import (
     AbelianGroupInvariants,
-    hnf,
+    mat_identity,
     quotient_invariants,
     solve_integer,
 )
@@ -122,16 +122,11 @@ def _solving_combinations(rows, k):
     Used to solve character-interpolation problems: a map defined on the rows
     extends to Z^k by applying these combinations to the target values.
     """
-    if k == 0:
-        return ()
     matrix = tuple(tuple(row[i] for row in rows) for i in range(k))
-    h, u = hnf(matrix)
-    for j in range(k):
-        if any(h[i][j] != (1 if i == j else 0) for i in range(k)):
-            raise ValueError("the given rows do not span the full lattice")
-    return tuple(
-        tuple(u[i][j] for i in range(len(rows))) for j in range(k)
-    )
+    combinations = tuple(solve_integer(matrix, e) for e in mat_identity(k))
+    if None in combinations:
+        raise ValueError("the given rows do not span the full lattice")
+    return combinations
 
 
 def _combine(combination, values):
@@ -336,7 +331,6 @@ def fiber_structure(g: ToricMonoid, f: MonoidFace) -> FiberReport:
     The fiber is a torsor under the characters of the ghost group of the
     face, so its rank and component count are read off the ghost invariants.
     """
-    _require_face(g, f)
     return FiberReport.of(ghost(g, f).invariants)
 
 
@@ -449,7 +443,6 @@ def associated_log_stalk(g: ToricMonoid, f: MonoidFace) -> LogStalk:
     """Stalk descriptor of the divisorial log structure on the stratum of
     ``f``: units absorb the face group, and the ghost group indexes the
     monomial classes."""
-    _require_face(g, f)
     return LogStalk(
         monoid=g,
         face=f,

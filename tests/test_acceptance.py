@@ -196,6 +196,36 @@ def test_criterion_fanmon_check_of_the_130_chart_parabola_atlas(tmp_path):
         assert (code, out.getvalue()) == (0, "PASS\n")
 
 
+def _saturate_within_a_second(tmp_path, label, generators):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"ambient_rank": 3, "generators": generators}))
+    clear_memos()
+    out = io.StringIO()
+    with criterion(label, 1.0):
+        with redirect_stdout(out):
+            code = main(["monoid", "saturate", "--input", str(path)])
+        assert code == 0
+        assert out.getvalue().endswith("normalization morphism: PASS\n")
+
+
+def test_criterion_saturate_the_parabola_cone_over_the_heptagon(tmp_path):
+    # Generated by (t, t^2, 1) for t < 7.  Checking its normalization
+    # morphism takes minutes; the verb, which does not, about 0.01 s.
+    _saturate_within_a_second(
+        tmp_path, "monoid saturate of the parabola cone n = 7",
+        [[t, t * t, 1] for t in range(7)],
+    )
+
+
+def test_criterion_saturate_a_five_generator_rank_3_monoid(tmp_path):
+    # Checking its normalization morphism takes about 29 s; the verb, which
+    # does not, about 0.003 s.
+    _saturate_within_a_second(
+        tmp_path, "monoid saturate of a five-generator rank-3 monoid",
+        [[-3, 1, -1], [-2, 0, 3], [-2, 1, 0], [-2, 1, 2], [1, 1, 1]],
+    )
+
+
 def test_criterion_rounding_fiber_suite():
     with criterion("collapse fibers over free charts and a torsion chart", 2.0):
         for n in range(1, 6):

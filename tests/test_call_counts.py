@@ -4,10 +4,12 @@ The counts are deterministic: every check clears the memos first and counts
 calls through a wrapper, so no timer is involved.
 """
 
+import json
 import sys
 
 from test_memo import clear_memos
-from torolog import cones, monoids
+from torolog import cones, fans, monoids, morphisms
+from torolog.cli import main
 from torolog.cones import RationalCone
 from torolog.fans import Fan, affine_atlas, validate_fan, validate_fan_of_monoids
 from torolog.monoids import ToricMonoid, exponent_cone
@@ -155,6 +157,28 @@ def test_checking_the_normalization_intersects_no_cones(monkeypatch):
     )
     assert calls == 0
     assert report.failures == ()
+
+
+def test_saturating_builds_and_checks_no_morphism(
+    monkeypatch, tmp_path, capsys
+):
+    # The normalization verdict follows from g lying in sat(g) with the same
+    # group and cone, so the verb builds no atlas and checks no morphism.
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps(
+        {"ambient_rank": 3, "generators": [list(v) for v in HEXAGON.generators]}
+    ))
+    for module, name in (
+        (morphisms, "check_morphism"),
+        (fans, "affine_atlas"),
+        (fans, "validate_fan_of_monoids"),
+    ):
+        calls, code = count_calls(
+            monkeypatch, module, name,
+            lambda: main(["monoid", "saturate", "--input", str(path)]),
+        )
+        assert (calls, code) == (0, 0), name
+        assert capsys.readouterr().out.endswith("normalization morphism: PASS\n")
 
 
 def test_a_mirrored_hilbert_basis_makes_as_many_containment_tests(monkeypatch):

@@ -281,11 +281,28 @@ def test_faces_of_torsion_monoid():
     assert [f.generator_indices for f in fs] == [(), (0,), (2,), (0, 1, 2)]
 
 
+def edge_by_negatives(g):
+    """The edge's generator indices by definition: the generators whose
+    negatives lie in the exponent cone."""
+    cone = exponent_cone(g)
+    return tuple(
+        i for i, v in enumerate(g.generators)
+        if contains(cone, tuple(-x for x in v))
+    )
+
+
 def test_first_face_is_the_edge():
     rng = random.Random(13)
-    for _ in range(20):
-        g = random_monoid(rng, rng.randint(1, 3))
-        assert faces(g)[0] == edge(g)
+    with_units = 0
+    for _ in range(600):
+        g = random_monoid(rng, rng.randint(1, 4))
+        idx = edge_by_negatives(g)
+        with_units += bool(idx)
+        e = faces(g)[0]
+        assert e == edge(g)
+        assert e.generator_indices == idx
+        assert e.monoid.generators == tuple(g.generators[i] for i in idx)
+    assert with_units >= 150
 
 
 def test_face_count_matches_cone_face_count():

@@ -120,10 +120,15 @@ def test_normalization_of_the_cusp():
 
 
 def test_normalization_passes_for_random_monoids():
+    # `monoid saturate` reports this verdict without checking it; here it is
+    # checked on 20 draws per rank, with and without unit pairs.
     rng = random.Random(113)
-    for _ in range(10):
-        g = random_monoid(rng, rng.randint(1, 3))
-        assert check_morphism(normalization_morphism(g)).ok
+    for rank in (1, 2, 3):
+        for allow_units in (False, True):
+            for _ in range(20):
+                g = random_monoid(rng, rank, allow_units)
+                report = check_morphism(normalization_morphism(g))
+                assert report.ok, (g, report.failures)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,21 @@ import pytest
 
 from conftest import random_monoid
 from torolog.fans import FanStratum, affine_atlas
-from torolog.lattice import solve_integer
-from torolog.monoids import ToricMonoid, edge, faces, gp, membership
+from torolog.lattice import hnf, solve_integer
+from torolog.monoids import (
+    ToricMonoid,
+    _generator_coordinates,
+    edge,
+    faces,
+    gp,
+    membership,
+)
 from torolog.rounding import (
     ComplexPoint,
     FiberReport,
     LogPointKind,
     RoundingPoint,
+    _solving_combinations,
     associated_log_stalk,
     base_point,
     encode_hom,
@@ -134,6 +142,31 @@ def test_encode_decode_round_trip():
         assert all(
             abs(a - b) < 1e-9 for a, b in zip(q.radial_log, p.radial_log)
         )
+
+
+def solving_combinations_by_hnf(rows, k):
+    """The combinations read off the unimodular transform of the Hermite
+    form, which is the identity exactly when the rows span Z^k."""
+    if k == 0:
+        return ()
+    h, u = hnf(tuple(tuple(row[i] for row in rows) for i in range(k)))
+    if any(h[i][j] != (i == j) for i in range(k) for j in range(k)):
+        raise ValueError("the given rows do not span the full lattice")
+    return tuple(tuple(u[i][j] for i in range(len(rows))) for j in range(k))
+
+
+def test_solving_combinations_match_the_hermite_transform():
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_monoid(rng, rng.randint(1, 4))
+        for f in faces(g):
+            rows, k = _generator_coordinates(f.monoid), len(gp(f.monoid))
+            assert _solving_combinations(rows, k) == (
+                solving_combinations_by_hnf(rows, k)
+            )
+    for rows in (((2,),), ((2, 0), (0, 1)), ((1, 1), (2, 2))):
+        with pytest.raises(ValueError, match="do not span"):
+            _solving_combinations(rows, len(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +328,7 @@ def test_fiber_of_torsion_monoid_has_two_components():
 
 
 def test_fiber_structure_rejects_foreign_faces():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a face of"):
         fiber_structure(NN2, xface(TORSION, (2,)))
 
 
@@ -524,6 +557,11 @@ def test_stalk_ghost_matches_ghost():
         g = random_monoid(rng, rng.randint(1, 3))
         for f in faces(g):
             assert associated_log_stalk(g, f).ghost == ghost(g, f)
+
+
+def test_stalk_rejects_foreign_faces():
+    with pytest.raises(ValueError, match="is not a face of"):
+        associated_log_stalk(NN2, xface(TORSION, (2,)))
 
 
 def test_stalk_rejects_non_members():
