@@ -30,6 +30,7 @@ from .fans import (
     validate_fan,
     validate_fan_of_monoids,
 )
+from .lattice import memo
 from .monoids import (
     ToricMonoid,
     _face_with_indices,
@@ -624,9 +625,10 @@ _VERBS = {
 }
 
 
-def _parse(argv):
-    """The handler and arguments of one command line; a usage error exits 2
-    through ``parser.error``."""
+@memo
+def _parser():
+    """The one command-line parser, built on first use: reading a command
+    line does not change it."""
     parser = argparse.ArgumentParser(
         prog="torolog",
         description="Exact computations with toric monoids, cones, fans, "
@@ -649,6 +651,13 @@ def _parse(argv):
     parser.add_argument("--strict-complex", action="store_true",
                         help="snc verbs: reject complexes that are not closed "
                         "under subsets instead of completing them")
+    return parser
+
+
+def _parse(argv):
+    """The handler and arguments of one command line; a usage error exits 2
+    through ``parser.error``."""
+    parser = _parser()
     args = parser.parse_args(argv)
     handler = _VERBS.get((args.group, args.verb))
     if handler is None:

@@ -16,6 +16,7 @@ from .fans import (
     FanOfMonoids,
     ValidationFailure,
     ValidationReport,
+    _maximal_cones,
     affine_atlas,
     validate_fan_of_monoids,
 )
@@ -72,6 +73,40 @@ class ToricMorphismData:
         object.__setattr__(self, "nu_dual", transpose(nu))
 
 
+def _chart_failures(d: ToricMorphismData, entries):
+    """The failures of the source entries given, in order: an image lying
+    in no target cone, then each dual image missing from the source chart.
+    A dual image that is a generator of the source chart needs no search."""
+    targets = dict(d.target.entries)
+    for cone1, chart1 in entries:
+        image = [mat_vec(d.nu, v) for v in cone1.generating_vectors()]
+        containing = [
+            c2
+            for c2 in targets
+            if all(contains(c2, w) for w in image)
+        ]
+        if not containing:
+            yield ValidationFailure(
+                "no-containing-cone",
+                f"the image of {cone1!r} lies in no target cone",
+            )
+            continue
+        # The target is valid, so the containing cones meet in one of them:
+        # the one that is a face of all the others.
+        minimal = next(
+            c2 for c2 in containing if all(is_face_of(c2, o) for o in containing)
+        )
+        listed = set(chart1.generators)
+        for gen in targets[minimal].generators:
+            pulled = mat_vec(d.nu_dual, gen)
+            if pulled not in listed and membership(chart1, pulled) is None:
+                yield ValidationFailure(
+                    "chart-incompatible",
+                    f"the dual image of {gen} from the chart at "
+                    f"{minimal!r} is missing from the chart at {cone1!r}",
+                )
+
+
 def check_morphism(d: ToricMorphismData) -> ValidationReport:
     """Validate that the lattice map carries the source fan into the target.
 
@@ -80,43 +115,34 @@ def check_morphism(d: ToricMorphismData) -> ValidationReport:
     some target cone ('no-containing-cone' otherwise), and the dual map must
     send the chart of the smallest containing cone into the source chart
     ('chart-incompatible' otherwise).
+
+    Once both fans are valid, only the maximal source cones are checked.
+    That implies every other source cone passes (Cox-Little-Schenck, *Toric
+    Varieties*, Thm 3.3.4).  Let ``sigma1`` be a maximal source cone that
+    passes, ``sigma2`` the smallest target cone containing its image, and
+    ``tau1`` a face of ``sigma1``.  The image of ``tau1`` lies in ``sigma2``
+    too, and the target fan is valid, so the smallest target cone ``mu``
+    containing it is a face of ``sigma2``.  Validation found
+    ``chart(mu) = localize(chart(sigma2), psi)`` and
+    ``chart(tau1) = localize(chart(sigma1), phi)``, with ``psi`` and ``phi``
+    the faces vanishing on ``mu`` and on ``tau1``.  The dual map carries the
+    generators of ``chart(sigma2)`` into ``chart(sigma1)``, which lies in
+    ``chart(tau1)``.  For ``b`` in ``psi``, the dual image of ``b`` lies in
+    ``chart(sigma1)`` and vanishes on ``tau1``; the weight cone of
+    ``chart(sigma1)`` is ``sigma1``, so every generator in a sum for it
+    vanishes on ``tau1`` and it lies in ``phi``.  So the dual image of
+    ``-b`` lies in ``chart(tau1)``.  If a maximal source cone fails, every
+    source cone is checked, so each violation becomes one report entry.
     """
     failures = list(validate_fan_of_monoids(d.source).failures)
     failures.extend(validate_fan_of_monoids(d.target).failures)
     if failures:
         return ValidationReport(tuple(failures))
-
-    lookup = dict(d.target.entries)
-    for cone1, chart1 in d.source.entries:
-        image = [mat_vec(d.nu, v) for v in cone1.generating_vectors()]
-        containing = [
-            c2
-            for c2 in lookup
-            if all(contains(c2, w) for w in image)
-        ]
-        if not containing:
-            failures.append(
-                ValidationFailure(
-                    "no-containing-cone",
-                    f"the image of {cone1!r} lies in no target cone",
-                )
-            )
-            continue
-        # The target is valid, so the containing cones meet in one of them:
-        # the one that is a face of all the others.
-        minimal = next(
-            c2 for c2 in containing if all(is_face_of(c2, o) for o in containing)
-        )
-        for gen in lookup[minimal].generators:
-            if membership(chart1, mat_vec(d.nu_dual, gen)) is None:
-                failures.append(
-                    ValidationFailure(
-                        "chart-incompatible",
-                        f"the dual image of {gen} from the chart at "
-                        f"{minimal!r} is missing from the chart at {cone1!r}",
-                    )
-                )
-    return ValidationReport(tuple(failures))
+    charts = dict(d.source.entries)
+    top = [(c, charts[c]) for c in _maximal_cones(list(charts))]
+    if next(_chart_failures(d, top), None) is None:
+        return ValidationReport(())
+    return ValidationReport(tuple(_chart_failures(d, d.source.entries)))
 
 
 def normalization_morphism(g: ToricMonoid) -> ToricMorphismData:

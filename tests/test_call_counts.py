@@ -12,8 +12,13 @@ from torolog import cones, fans, monoids, morphisms
 from torolog.cli import main
 from torolog.cones import RationalCone
 from torolog.fans import Fan, affine_atlas, validate_fan, validate_fan_of_monoids
+from torolog.lattice import mat_identity
 from torolog.monoids import ToricMonoid, exponent_cone
-from torolog.morphisms import check_morphism, normalization_morphism
+from torolog.morphisms import (
+    ToricMorphismData,
+    check_morphism,
+    normalization_morphism,
+)
 
 HEXAGON = ToricMonoid(
     3, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1))
@@ -157,6 +162,35 @@ def test_checking_the_normalization_intersects_no_cones(monkeypatch):
     )
     assert calls == 0
     assert report.failures == ()
+
+
+def test_checking_hexagon_morphisms_on_validated_fans_searches_nothing(
+    monkeypatch,
+):
+    # With both fans validated, the check reads only the one maximal source
+    # chart, and the dual image of every target generator is one of its
+    # generators, so no membership search or cone is needed.
+    def identity():
+        atlas = affine_atlas(HEXAGON)
+        return ToricMorphismData(mat_identity(3), atlas, atlas)
+
+    for make in (identity, lambda: normalization_morphism(HEXAGON)):
+        def validated():
+            d = make()
+            validate_fan_of_monoids(d.source)
+            validate_fan_of_monoids(d.target)
+            return d
+
+        for module, name in (
+            (monoids, "membership"), (cones, "_dual_description"),
+        ):
+            built, _ = count_calls(monkeypatch, module, name, validated)
+            both, report = count_calls(
+                monkeypatch, module, name,
+                lambda: check_morphism(validated()),
+            )
+            assert both - built == 0, name
+            assert report.failures == ()
 
 
 def test_saturating_builds_and_checks_no_morphism(

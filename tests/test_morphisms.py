@@ -1,5 +1,6 @@
 """Lattice maps between fans of monoids, and the point maps they induce."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,29 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_monoid
-from torolog.cones import RationalCone
-from torolog.fans import FanOfMonoids, affine_atlas
-from torolog.lattice import mat_mul, mat_vec
-from torolog.monoids import ToricMonoid, edge, faces, gp, monoid_equal
+from test_fans import broken_fans_of_monoids, maximal_cones, seeded_normal_fans
+from torolog.cones import RationalCone, contains, is_face_of
+from torolog.cones import faces as cone_faces
+from torolog.fans import (
+    Fan,
+    FanOfMonoids,
+    ValidationFailure,
+    ValidationReport,
+    affine_atlas,
+    normal_fan_of_monoids,
+    validate_fan_of_monoids,
+)
+from torolog.lattice import mat_identity, mat_mul, mat_vec
+from torolog.monoids import (
+    ToricMonoid,
+    edge,
+    faces,
+    gp,
+    is_saturated,
+    membership,
+    monoid_equal,
+    saturate,
+)
 from torolog.morphisms import (
     ToricMorphismData,
     apply_to_point,
@@ -121,14 +141,186 @@ def test_normalization_of_the_cusp():
 
 def test_normalization_passes_for_random_monoids():
     # `monoid saturate` reports this verdict without checking it; here it is
-    # checked on 20 draws per rank, with and without unit pairs.
-    rng = random.Random(113)
-    for rank in (1, 2, 3):
-        for allow_units in (False, True):
-            for _ in range(20):
-                g = random_monoid(rng, rank, allow_units)
-                report = check_morphism(normalization_morphism(g))
-                assert report.ok, (g, report.failures)
+    # checked on 20 draws per rank, with and without unit pairs, per seed.
+    for seed in (113, 114):
+        rng = random.Random(seed)
+        for rank in (1, 2, 3):
+            for allow_units in (False, True):
+                for _ in range(20):
+                    g = random_monoid(rng, rank, allow_units)
+                    report = check_morphism(normalization_morphism(g))
+                    assert report.ok, (g, report.failures)
+
+
+# ---------------------------------------------------------------------------
+# The check through maximal source cones against the per-cone check
+# ---------------------------------------------------------------------------
+
+def pairwise_check_morphism(d):
+    """The morphism check cone by cone: for every source cone, one
+    membership search per generator of the smallest target chart."""
+    failures = list(validate_fan_of_monoids(d.source).failures)
+    failures.extend(validate_fan_of_monoids(d.target).failures)
+    if failures:
+        return ValidationReport(tuple(failures))
+
+    lookup = dict(d.target.entries)
+    for cone1, chart1 in d.source.entries:
+        image = [mat_vec(d.nu, v) for v in cone1.generating_vectors()]
+        containing = [
+            c2
+            for c2 in lookup
+            if all(contains(c2, w) for w in image)
+        ]
+        if not containing:
+            failures.append(
+                ValidationFailure(
+                    "no-containing-cone",
+                    f"the image of {cone1!r} lies in no target cone",
+                )
+            )
+            continue
+        minimal = next(
+            c2 for c2 in containing if all(is_face_of(c2, o) for o in containing)
+        )
+        for gen in lookup[minimal].generators:
+            if membership(chart1, mat_vec(d.nu_dual, gen)) is None:
+                failures.append(
+                    ValidationFailure(
+                        "chart-incompatible",
+                        f"the dual image of {gen} from the chart at "
+                        f"{minimal!r} is missing from the chart at {cone1!r}",
+                    )
+                )
+    return ValidationReport(tuple(failures))
+
+
+def fan_with_faces(rank, maximal):
+    return normal_fan_of_monoids(
+        Fan(rank, [f for c in maximal for f in cone_faces(c)])
+    )
+
+
+# The fan of P1 x P1, and a fan that is not pure: a quadrant and a ray.
+QUADRANTS_FANMON = fan_with_faces(2, [
+    RationalCone(2, ((sx, 0), (0, sy))) for sx in (1, -1) for sy in (1, -1)
+])
+QUADRANT_AND_RAY_FANMON = fan_with_faces(2, [
+    RationalCone(2, ((1, 0), (0, 1))), RationalCone(2, ((-1, -2),)),
+])
+
+
+# Monoids that are not saturated: the cusp, a rank-2 cusp missing (1, 2),
+# and the cone over the lattice quadrilateral with vertices (t, t^2).
+CUSPS = [
+    NUMERICAL,
+    ToricMonoid(2, ((1, 0), (1, 1), (1, 3))),
+    ToricMonoid(3, tuple((t, t * t, 1) for t in range(4))),
+]
+
+
+def morphism_corpus():
+    """Seeded morphisms between affine atlases of random monoids of ranks
+    1-3, with and without unit pairs, and fans with several maximal cones:
+    identities, some with one entry moved, normalizations and their
+    reverses, maps into charts with a saturation generator added, random
+    maps, and identities out of broken fans."""
+    rng = random.Random(137)
+    monoids = [
+        random_monoid(rng, rank, allow_units)
+        for rank in (1, 2, 3)
+        for allow_units in (False, True)
+        for _ in range(5)
+    ] + CUSPS
+    fans = [affine_atlas(g) for g in monoids] + [
+        P1_FANMON, QUADRANTS_FANMON, QUADRANT_AND_RAY_FANMON,
+    ] + [
+        normal_fan_of_monoids(f)
+        for f in seeded_normal_fans() if f.ambient_rank == 2
+    ]
+    cusps = [g for g in monoids if not is_saturated(g)]
+    by_rank = {
+        n: [f for f in fans if f.exponent_rank == n] for n in (1, 2, 3)
+    }
+
+    def moved_identity(source, target):
+        n = source.exponent_rank
+        nu = [list(row) for row in mat_identity(n)]
+        nu[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1, 2))
+        return ToricMorphismData(nu, source, target)
+
+    # The identity carries the quadrant into the plane atlas, but not the
+    # ray, which is maximal without being of top dimension.
+    draws = [ToricMorphismData(
+        mat_identity(2), QUADRANT_AND_RAY_FANMON, PLANE_ATLAS
+    )]
+    for g in monoids:
+        d = normalization_morphism(g)
+        draws += [d, ToricMorphismData(d.nu, d.target, d.source)]
+    for fm in fans:
+        n = fm.exponent_rank
+        draws.append(ToricMorphismData(mat_identity(n), fm, fm))
+        draws += [
+            moved_identity(fm, rng.choice(by_rank[n])) for _ in range(3)
+        ]
+    for g in cusps:
+        # The target chart gains one generator of the saturation.  The
+        # group stays the same, so the identity still matches coordinates.
+        source = affine_atlas(g)
+        identity = mat_identity(source.exponent_rank)
+        for h in saturate(g).generators:
+            target = affine_atlas(
+                ToricMonoid(g.ambient_rank, g.generators + (h,))
+            )
+            draws += [
+                ToricMorphismData(identity, source, target),
+                moved_identity(source, target),
+            ]
+    for fm in rng.sample(fans, 8):
+        # Invalid fans: the check must report their failures, not trust
+        # charts that validation has not vouched for.
+        n = fm.exponent_rank
+        draws += [
+            ToricMorphismData(mat_identity(n), broken, fm)
+            for broken in broken_fans_of_monoids(fm, rng)
+        ]
+    for _ in range(120):
+        source, target = rng.choice(fans), rng.choice(fans)
+        nu = [
+            [rng.randint(-2, 2) for _ in range(source.exponent_rank)]
+            for _ in range(target.exponent_rank)
+        ]
+        draws.append(ToricMorphismData(nu, source, target))
+    return draws
+
+
+def names_a_face(report, d):
+    """Whether some failure of the report is at a non-maximal source cone."""
+    top = set(maximal_cones(d.source.fan()))
+    faces_named = [
+        repr(c) for c, _ in d.source.entries if c not in top
+    ]
+    return any(
+        f.message.startswith(f"the image of {r} ")
+        or f.message.endswith(f"chart at {r}")
+        for f in report.failures
+        for r in faces_named
+    )
+
+
+def test_check_morphism_matches_the_pairwise_oracle():
+    seen = collections.Counter()
+    for d in morphism_corpus():
+        report = check_morphism(d)
+        assert report == pairwise_check_morphism(d), d
+        seen["passed" if report.ok else "failed"] += 1
+        seen["failed at a face"] += names_a_face(report, d)
+        seen.update({f.code for f in report.failures})
+    assert seen["passed"] >= 150 and seen["failed"] >= 150, seen
+    assert seen["failed at a face"] >= 100, seen
+    assert seen["no-containing-cone"] >= 100, seen
+    assert seen["chart-incompatible"] >= 25, seen
+    assert seen["face-incompatible"] >= 5, seen
 
 
 # ---------------------------------------------------------------------------
