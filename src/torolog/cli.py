@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .cones import RationalCone, dim, dual_cone, is_face_of
+from .cones import RationalCone, dim, dual_cone
 from .cones import faces as cone_faces
 from .fans import (
     Fan,
@@ -357,12 +357,14 @@ def _cmd_cone_dual(payload, args):
 def _cmd_cone_faces(payload, args):
     """face lattice with dims and subface relations"""
     fs = cone_faces(cone_from_json(payload))
+    # Faces of one cone: one lies in another exactly when its rays do.
+    rays = [set(f.rays) for f in fs]
     rows = [
         dict(
             cone_to_json(fj),
             dim=dim(fj),
             subfaces=[
-                i for i, fi in enumerate(fs) if i != j and is_face_of(fi, fj)
+                i for i, ri in enumerate(rays) if i != j and ri <= rays[j]
             ],
         )
         for j, fj in enumerate(fs)

@@ -199,8 +199,15 @@ def validate_fan(f: Fan) -> ValidationReport:
     faces are in the fan, so are the faces of every cone, and if each pair
     of them meets in a face of both, so does every pair of their faces, and
     the fan is valid.  Otherwise the faces of every cone are looked up and
-    every pair of cones is intersected, so each violation becomes one
-    report entry; a valid fan yields an empty failure list.
+    every pair of cones is checked, so each violation becomes one report
+    entry; a valid fan yields an empty failure list.
+
+    Every cone is a face of some maximal cone.  Two faces of one cone meet
+    in its face spanned by their common rays (faces of a cone share its
+    lineality, so this holds for cones with lineality too), and that meet
+    is a face of both.  So a pair of cones with a common maximal cone reads
+    its meet from that cone's face lattice; only the other pairs are
+    intersected and tested for meeting in a common face.
     """
     failures = []
     present = set(f.cones)
@@ -209,8 +216,8 @@ def validate_fan(f: Fan) -> ValidationReport:
             failures.append(
                 ValidationFailure("not-sharp", f"cone {c!r} has lineality")
             )
+    top = _maximal_cones(f.cones)
     if not failures:
-        top = _maximal_cones(f.cones)
         if all(
             face in present for c in top for face in cone_faces(c)
         ) and all(
@@ -226,11 +233,25 @@ def validate_fan(f: Fan) -> ValidationReport:
                         "missing-face", f"face {face!r} of {c!r} is not in the fan"
                     )
                 )
+    # Each face of a maximal cone: the maximal cones it lies in; each
+    # maximal cone: its faces by ray set.
+    above, lattices = {}, []
+    for k, m in enumerate(top):
+        lattice = {}
+        for face in cone_faces(m):
+            above.setdefault(face, set()).add(k)
+            lattice[frozenset(face.rays)] = face
+        lattices.append(lattice)
+    rays = {c: frozenset(c.rays) for c in f.cones}
     n = len(f.cones)
     for i in range(n):
         for j in range(i + 1, n):
             a, b = f.cones[i], f.cones[j]
-            meet = intersect(a, b)
+            common = above[a] & above[b]
+            if common:
+                meet = lattices[min(common)][rays[a] & rays[b]]
+            else:
+                meet = intersect(a, b)
             if meet not in present:
                 failures.append(
                     ValidationFailure(
@@ -239,7 +260,9 @@ def validate_fan(f: Fan) -> ValidationReport:
                         "the fan",
                     )
                 )
-            elif not (is_face_of(meet, a) and is_face_of(meet, b)):
+            elif not common and not (
+                is_face_of(meet, a) and is_face_of(meet, b)
+            ):
                 failures.append(
                     ValidationFailure(
                         "improper-intersection",
@@ -261,25 +284,35 @@ def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
     )
 
 
-def _maximal_charts_agree(fm: FanOfMonoids, charts: dict) -> bool:
-    """Whether every maximal chart has full group and its key cone as weight
-    cone, and every face chart equals the localization of the maximal chart
-    along the face vanishing on the face cone.  ``charts`` maps each cone of
-    a valid fan to its one monoid."""
+def _certified_charts(fm: FanOfMonoids, charts: dict):
+    """The face charts certified by the maximal charts, and whether every
+    check passed.
+
+    ``charts`` maps each cone to its monoid.  For each maximal cone
+    ``sigma`` whose chart has full group and weight cone ``sigma``, the
+    first value maps ``sigma`` to the set of its faces ``tau`` (``sigma``
+    included) whose chart equals the localization of the chart at ``sigma``
+    along the face vanishing on ``tau``.  The second is whether every
+    maximal chart passed and every one of its faces is certified.
+    """
     identity = mat_identity(fm.exponent_rank)
-    for sigma in _maximal_cones([c for c, _ in fm.entries]):
+    certified, passed = {}, True
+    for sigma in _maximal_cones(list(charts)):
         monoid = charts[sigma]
         if gp(monoid) != identity or weight_cone(monoid) != sigma:
-            return False
+            passed = False
+            continue
+        agree = certified[sigma] = {sigma}
         for tau in cone_faces(sigma):
             if tau == sigma:
                 continue
-            phi = _face_with_indices(monoid, _perp_face_indices(monoid, tau))
-            if phi is None or not monoid_equal(
-                charts[tau], localize(monoid, phi)
-            ):
-                return False
-    return True
+            if tau in charts:
+                phi = _face_with_indices(monoid, _perp_face_indices(monoid, tau))
+                if monoid_equal(charts[tau], localize(monoid, phi)):
+                    agree.add(tau)
+                    continue
+            passed = False
+    return certified, passed
 
 
 @memo
@@ -292,31 +325,42 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     the localization of the entry at ``sigma`` along the face vanishing on
     ``tau``.  All failures are reported.
 
-    Once the fan axioms hold and no two entries share a cone, only the
-    maximal charts are checked: their group, their weight cone, and that
-    each of their face charts is their localization along the face
-    vanishing on the face cone.  That implies every other condition.  A
-    localization keeps the generated group, and the localization of a chart
-    with weight cone ``sigma`` along the face vanishing on ``tau`` has weight
-    cone ``(sigma^v + lin(sigma^v & tau^perp))^v = tau`` (Cox-Little-Schenck,
-    *Toric Varieties*, Prop. 1.2.10).  Localization is transitive, so each
-    face pair below a maximal chart is compatible too.  If any of these
-    checks fails, every entry and every face pair is checked, so each
-    violation becomes one report entry.
+    Every condition is read from the maximal charts.  A maximal chart with
+    full group and weight cone ``sigma`` certifies each face ``tau`` of
+    ``sigma`` whose chart equals its localization along the face vanishing
+    on ``tau``.  A localization keeps the generated group, and the
+    localization of a chart with weight cone ``sigma`` along the face
+    vanishing on ``tau`` has weight cone
+    ``(sigma^v + lin(sigma^v & tau^perp))^v = tau`` (Cox-Little-Schenck,
+    *Toric Varieties*, Prop. 1.2.10).  So a certified chart passes its group
+    and weight cone checks.  Localization is transitive: for ``tau`` a face
+    of a face ``sigma'`` certified under ``sigma``, localizing the chart at
+    ``sigma'`` along the face vanishing on ``tau`` gives the localization
+    of the chart at ``sigma`` along the face vanishing on ``tau``.  So the
+    entry at ``tau`` is the localization of the entry at ``sigma'`` exactly
+    when ``tau`` is certified under ``sigma``; the face vanishing on ``tau``
+    always exists there, since the chart at ``sigma'`` has weight cone
+    ``sigma'``.  A valid fan whose maximal charts certify every face is
+    therefore valid as a fan of monoids.  Otherwise every entry and every
+    face pair is checked, so each violation becomes one report entry, and
+    only the charts no maximal chart certifies are checked on their own.
     """
     failures = list(validate_fan(fm.fan()).failures)
     charts = dict(fm.entries)
-    if (
-        not failures
-        and len(charts) == len(fm.entries)
-        and _maximal_charts_agree(fm, charts)
-    ):
+    certified, passed = _certified_charts(fm, charts)
+    if not failures and len(charts) == len(fm.entries) and passed:
         return ValidationReport(())
     n = fm.exponent_rank
     identity = mat_identity(n)
+    # A certified cone, mapped to a maximal cone certifying it; only the
+    # entry at that cone which ``charts`` holds is certified.
+    under = {tau: sigma for sigma, agree in certified.items() for tau in agree}
+
+    def certifier(cone, monoid):
+        return under.get(cone) if charts[cone] is monoid else None
 
     for cone, monoid in fm.entries:
-        if gp(monoid) != identity:
+        if certifier(cone, monoid) is None and gp(monoid) != identity:
             failures.append(
                 ValidationFailure(
                     "group-not-full",
@@ -332,7 +376,7 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
                 )
             )
         seen[cone] = monoid
-        if weight_cone(monoid) != cone:
+        if certifier(cone, monoid) is None and weight_cone(monoid) != cone:
             failures.append(
                 ValidationFailure(
                     "weight-cone-mismatch",
@@ -341,21 +385,33 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
                 )
             )
     for cone, monoid in fm.entries:
-        for tau in cone_faces(cone):
+        sigma = certifier(cone, monoid)
+        if sigma is None:
+            below = cone_faces(cone)
+        else:
+            # The faces of a face of ``sigma`` are the faces of ``sigma`` on
+            # its rays, in the same order.
+            rays = set(cone.rays)
+            below = [t for t in cone_faces(sigma) if rays.issuperset(t.rays)]
+        for tau in below:
             if tau == cone or tau not in seen:
                 continue  # absence is already a fan failure
-            idx = _perp_face_indices(monoid, tau)
-            phi = _face_with_indices(monoid, idx)
-            if phi is None:
-                failures.append(
-                    ValidationFailure(
-                        "face-incompatible",
-                        f"generators of {monoid!r} vanishing on {tau!r} do "
-                        "not span a face",
+            if sigma is not None:
+                agrees = tau in certified[sigma]
+            else:
+                idx = _perp_face_indices(monoid, tau)
+                phi = _face_with_indices(monoid, idx)
+                if phi is None:
+                    failures.append(
+                        ValidationFailure(
+                            "face-incompatible",
+                            f"generators of {monoid!r} vanishing on {tau!r} "
+                            "do not span a face",
+                        )
                     )
-                )
-                continue
-            if not monoid_equal(seen[tau], localize(monoid, phi)):
+                    continue
+                agrees = monoid_equal(seen[tau], localize(monoid, phi))
+            if not agrees:
                 failures.append(
                     ValidationFailure(
                         "face-incompatible",

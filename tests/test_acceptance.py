@@ -196,6 +196,54 @@ def test_criterion_fanmon_check_of_the_130_chart_parabola_atlas(tmp_path):
         assert (code, out.getvalue()) == (0, "PASS\n")
 
 
+def _failing_check(tmp_path, label, budget, argv, payload):
+    """Run ``torolog GROUP VERB`` on the payload from cold memos within the
+    budget, expecting exit 1; the failure codes it printed."""
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    clear_memos()
+    out = io.StringIO()
+    with criterion(label, budget):
+        with redirect_stdout(out):
+            code = main(argv + ["--json", "--input", str(path)])
+        assert code == 1
+    return [f["code"] for f in json.loads(out.getvalue())["failures"]]
+
+
+def test_criterion_fan_check_of_the_parabola_fan_with_a_ray_dropped(tmp_path):
+    # 129 cones and 8,256 pairs, every pair inside the one maximal cone.
+    # About 0.1 s; 4-5 s when every pair was intersected.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    entries = fanmon_to_json(affine_atlas(parabola))["entries"]
+    ray = next(e["cone"] for e in entries if len(e["cone"]["rays"]) == 1)
+    fan = {"ambient_rank": 3,
+           "cones": [e["cone"] for e in entries if e["cone"] is not ray]}
+    codes = _failing_check(
+        tmp_path, "fan check of the parabola fan with a ray dropped", 0.75,
+        ["fan", "check"], fan,
+    )
+    assert codes == ["missing-face"] * 3 + ["missing-intersection"]
+
+
+def test_criterion_fanmon_check_of_the_parabola_atlas_with_a_doubled_chart(
+    tmp_path,
+):
+    # The minimal chart's generators doubled: its group is a proper
+    # subgroup, and it is no localization of the 129 charts above it.
+    # About 0.25 s; 0.9-1.4 s when every chart was checked on its own.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    atlas = fanmon_to_json(affine_atlas(parabola))
+    minimal = atlas["entries"][0]["monoid"]
+    minimal["generators"] = [
+        [str(2 * int(x)) for x in v] for v in minimal["generators"]
+    ]
+    codes = _failing_check(
+        tmp_path, "fanmon check of the parabola atlas with a doubled chart",
+        0.75, ["fanmon", "check"], atlas,
+    )
+    assert codes == ["group-not-full"] + ["face-incompatible"] * 129
+
+
 def test_criterion_morphism_check_of_the_130_chart_parabola_atlas(tmp_path):
     # The identity on the atlas of the cone over the lattice 64-gon.  Every
     # chart but the maximal one has units; only the maximal one is read.

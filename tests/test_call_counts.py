@@ -11,7 +11,13 @@ from test_memo import clear_memos
 from torolog import cones, fans, monoids, morphisms
 from torolog.cli import main
 from torolog.cones import RationalCone
-from torolog.fans import Fan, affine_atlas, validate_fan, validate_fan_of_monoids
+from torolog.fans import (
+    Fan,
+    FanOfMonoids,
+    affine_atlas,
+    validate_fan,
+    validate_fan_of_monoids,
+)
 from torolog.lattice import mat_identity
 from torolog.monoids import ToricMonoid, exponent_cone
 from torolog.morphisms import (
@@ -140,6 +146,50 @@ def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):
     )
     assert calls == 0
     assert report.failures == ()
+
+
+def test_a_hexagon_fan_with_a_ray_dropped_intersects_no_cones(monkeypatch):
+    # Every cone left is a face of the one maximal cone, so each of the 78
+    # meets is read from its face lattice.
+    cones_left = affine_atlas(HEXAGON).fan().cones
+    fan = Fan(3, [c for c in cones_left if c.rays != cones_left[1].rays])
+    assert len(fan.cones) == 13
+    calls, report = count_calls(
+        monkeypatch, cones, "intersect", lambda: validate_fan(fan)
+    )
+    assert calls == 0
+    assert {f.code for f in report.failures} == {
+        "missing-face", "missing-intersection",
+    }
+
+
+def test_a_hexagon_atlas_with_its_minimal_chart_doubled_rechecks_one_chart(
+    monkeypatch,
+):
+    # With the atlas validated, the maximal chart certifies every face chart
+    # but the doubled one; only that chart's group, weight cone and
+    # comparison with its localization are computed.
+    def validated():
+        atlas = affine_atlas(HEXAGON)
+        validate_fan_of_monoids(atlas)
+        cone, monoid = atlas.entries[0]
+        doubled = ToricMonoid(3, tuple(
+            tuple(2 * x for x in v) for v in monoid.generators
+        ))
+        return FanOfMonoids(3, ((cone, doubled),) + atlas.entries[1:])
+
+    for module, name, expected in (
+        (cones, "_dual_description", 1), (monoids, "membership", 1),
+    ):
+        built, _ = count_calls(monkeypatch, module, name, validated)
+        both, report = count_calls(
+            monkeypatch, module, name,
+            lambda: validate_fan_of_monoids(validated()),
+        )
+        assert both - built == expected, name
+        assert [f.code for f in report.failures] == (
+            ["group-not-full"] + ["face-incompatible"] * 13
+        )
 
 
 def test_the_four_quadrants_intersect_only_their_maximal_pairs(monkeypatch):

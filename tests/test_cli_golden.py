@@ -24,7 +24,7 @@ from test_cli import (
     SEGMENT_JSON,
     TORSION_JSON,
 )
-from torolog.cli import _VERBS, fanmon_to_json, main
+from torolog.cli import _VERBS, cone_to_json, fanmon_to_json, main
 from torolog.fans import affine_atlas
 from torolog.monoids import ToricMonoid
 
@@ -46,6 +46,26 @@ def _wrong_chart_atlas():
         if len(entry["cone"]["rays"]) == 1:
             entry["monoid"] = NN2_JSON
             break
+    return mutated
+
+
+def _ray_dropped_fan():
+    """The fan of the octant's atlas without the cone on (0, 0, 1): three
+    faces and one meet missing, the meet a face of the octant."""
+    octant = affine_atlas(ToricMonoid(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    return {"ambient_rank": 3, "cones": [
+        cone_to_json(c) for c in octant.fan().cones if c.rays != ((0, 0, 1),)
+    ]}
+
+
+def _doubled_minimal_chart_atlas():
+    mutated = copy.deepcopy(ATLAS_JSON)
+    for entry in mutated["entries"]:
+        if not entry["cone"]["rays"]:
+            gens = entry["monoid"]["generators"]
+            entry["monoid"]["generators"] = [
+                [str(2 * int(x)) for x in v] for v in gens
+            ]
     return mutated
 
 
@@ -80,8 +100,10 @@ PAYLOADS = [
     ("fan", "check", FULL_FAN_JSON),
     ("fan", "check", {"ambient_rank": 2, "cones": [FULL_FAN_JSON["cones"][0]]}),
     ("fan", "check", {"ambient_rank": -1, "cones": []}),
+    ("fan", "check", _ray_dropped_fan()),
     ("fanmon", "check", ATLAS_JSON),
     ("fanmon", "check", _wrong_chart_atlas()),
+    ("fanmon", "check", _doubled_minimal_chart_atlas()),
     ("fanmon", "check", {"rank": -1, "entries": []}),
     ("fanmon", "atlas", NN2_JSON),
     ("fanmon", "atlas", TORSION_JSON),

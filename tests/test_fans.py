@@ -438,8 +438,9 @@ def seeded_normal_fans_of_monoids():
 def broken_fans_of_monoids(fm, rng):
     """The fan of monoids under one seeded mutation each: a face chart with
     a generator dropped, a face chart swapped for another chart, a maximal
-    chart in a subgroup of index 2, a maximal chart with a smaller weight
-    cone, a cone listed twice with different monoids, and a face dropped."""
+    chart and the minimal cone's chart in a subgroup of index 2, a maximal
+    chart with a smaller weight cone, a cone listed twice with different
+    monoids, and a face dropped."""
     rank, entries = fm.exponent_rank, list(fm.entries)
     cones = [c for c, _ in entries]
     top = set(maximal_cones(fm.fan()))
@@ -452,6 +453,10 @@ def broken_fans_of_monoids(fm, rng):
             rank, entries[:i] + [(cones[i], monoid)] + entries[i + 1:]
         )
 
+    def doubled(i):
+        gens = entries[i][1].generators
+        return replaced(i, ToricMonoid(rank, [[2 * x for x in v] for v in gens]))
+
     if below:
         i = rng.choice(below)
         gens = list(entries[i][1].generators)
@@ -463,8 +468,11 @@ def broken_fans_of_monoids(fm, rng):
         out.append(FanOfMonoids(rank, entries[:i] + entries[i + 1:]))
     i = rng.choice(upper)
     monoid = entries[i][1]
-    halved = tuple(tuple(x * 2 for x in v) for v in monoid.generators)
-    out.append(replaced(i, ToricMonoid(rank, halved)))
+    out.append(doubled(i))
+    if 0 in below:
+        # The minimal cone comes first; its chart is a face chart of every
+        # maximal chart.
+        out.append(doubled(0))
     sharp = [v for v in monoid.generators
              if tuple(-x for x in v) not in monoid.generators]
     if sharp:
