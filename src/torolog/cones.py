@@ -16,7 +16,8 @@ from one pass over the generators; the dual of a cone gets the cone's own
 generators; a face gets its parent's dual and the negated facet normals
 tight on it; an intersection gets both duals.  Duals, faces and duals of
 duals therefore cost no pass, and intersection costs one.  All arithmetic is
-in integers.  Canonical forms, duals and face lattices are memoized by value.
+in integers.  Canonical forms, duals, dimensions and face lattices are
+memoized by value.
 """
 
 from __future__ import annotations
@@ -246,6 +247,7 @@ def contains(c: RationalCone, v) -> bool:
     )
 
 
+@memo
 def dim(c: RationalCone) -> int:
     """Dimension of the linear span of the cone."""
     gens = c.rays + c.lineality

@@ -207,7 +207,9 @@ def validate_fan(f: Fan) -> ValidationReport:
     lineality, so this holds for cones with lineality too), and that meet
     is a face of both.  So a pair of cones with a common maximal cone reads
     its meet from that cone's face lattice; only the other pairs are
-    intersected and tested for meeting in a common face.
+    intersected and tested for meeting in a common face.  The faces of each
+    cone are read there too, as the faces of a maximal cone through it on
+    its rays, so no other face lattice is walked.
     """
     failures = []
     present = set(f.cones)
@@ -225,14 +227,6 @@ def validate_fan(f: Fan) -> ValidationReport:
             for a, b in combinations(top, 2)
         ):
             return ValidationReport(())
-    for c in f.cones:
-        for face in cone_faces(c):
-            if face not in present:
-                failures.append(
-                    ValidationFailure(
-                        "missing-face", f"face {face!r} of {c!r} is not in the fan"
-                    )
-                )
     # Each face of a maximal cone: the maximal cones it lies in; each
     # maximal cone: its faces by ray set.
     above, lattices = {}, []
@@ -243,6 +237,17 @@ def validate_fan(f: Fan) -> ValidationReport:
             lattice[frozenset(face.rays)] = face
         lattices.append(lattice)
     rays = {c: frozenset(c.rays) for c in f.cones}
+    missing = [[t for t in cone_faces(m) if t not in present] for m in top]
+    for c in f.cones:
+        # The faces of a face of a maximal cone are that cone's faces on its
+        # rays, in the same order.
+        for face in missing[min(above[c])]:
+            if rays[c].issuperset(face.rays):
+                failures.append(
+                    ValidationFailure(
+                        "missing-face", f"face {face!r} of {c!r} is not in the fan"
+                    )
+                )
     n = len(f.cones)
     for i in range(n):
         for j in range(i + 1, n):
@@ -284,6 +289,14 @@ def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
     )
 
 
+@memo
+def _perp_face(monoid: ToricMonoid, cone: RationalCone):
+    """The face of the monoid whose generators vanish on the cone, or None
+    when they span no face.  Memoized by value: an atlas, its validation
+    and its strata ask for the same pairs."""
+    return _face_with_indices(monoid, _perp_face_indices(monoid, cone))
+
+
 def _certified_charts(fm: FanOfMonoids, charts: dict):
     """The face charts certified by the maximal charts, and whether every
     check passed.
@@ -307,7 +320,7 @@ def _certified_charts(fm: FanOfMonoids, charts: dict):
             if tau == sigma:
                 continue
             if tau in charts:
-                phi = _face_with_indices(monoid, _perp_face_indices(monoid, tau))
+                phi = _perp_face(monoid, tau)
                 if monoid_equal(charts[tau], localize(monoid, phi)):
                     agree.add(tau)
                     continue
@@ -399,8 +412,7 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
             if sigma is not None:
                 agrees = tau in certified[sigma]
             else:
-                idx = _perp_face_indices(monoid, tau)
-                phi = _face_with_indices(monoid, idx)
+                phi = _perp_face(monoid, tau)
                 if phi is None:
                     failures.append(
                         ValidationFailure(
@@ -434,9 +446,7 @@ def affine_atlas(g: ToricMonoid) -> FanOfMonoids:
     w = weight_cone(inner)
     entries = []
     for tau in cone_faces(w):
-        idx = _perp_face_indices(inner, tau)
-        phi = _face_with_indices(inner, idx)
-        entries.append((tau, localize(inner, phi)))
+        entries.append((tau, localize(inner, _perp_face(inner, tau))))
     return FanOfMonoids(inner.ambient_rank, tuple(entries))
 
 
@@ -474,7 +484,7 @@ def strata(fm: FanOfMonoids) -> tuple:
         # cone, so that face's group is the entry's unit group in each of
         # them, and every maximal chart gives the same ghost invariants.
         monoid = lookup[next(m for m in maximal if is_face_of(cone, m))]
-        phi = _face_with_indices(monoid, _perp_face_indices(monoid, cone))
+        phi = _perp_face(monoid, cone)
         rows.append(
             FanStratum(
                 cone=cone,

@@ -26,8 +26,10 @@ IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
 # Entries kept by each memo.  The work shared within one request (the faces,
-# localizations and ghosts of one atlas) fits in 64 entries: larger sizes
-# were no faster on the benchmark workloads and only raised peak memory.
+# face correspondences, dimensions and ghosts of one atlas, each computed
+# once and read again by its validation, strata and fibers) fits in 64
+# entries: larger sizes were no faster on the benchmark workloads and only
+# raised peak memory.
 MEMO_SIZE = 64
 
 # Least-recently-used cache keyed by the values of the (hashable) arguments.

@@ -8,6 +8,7 @@ demand; what the other computations reuse is memoized by the monoid's value.
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .cones import RationalCone, _dual_description, contains, dim, dual_cone
 from .cones import faces as cone_faces
@@ -308,17 +309,22 @@ def faces(g: ToricMonoid) -> tuple:
     return tuple(out)
 
 
+@memo
+def _face_index(g: ToricMonoid):
+    """Each face keyed by its generator indices, read-only because every
+    caller shares it.  Distinct faces span distinct cone faces, so they have
+    distinct index sets."""
+    return MappingProxyType({f.generator_indices: f for f in faces(g)})
+
+
 def _require_face(g: ToricMonoid, f: MonoidFace):
-    if f not in faces(g):
+    if _face_with_indices(g, f.generator_indices) != f:
         raise ValueError(f"{f!r} is not a face of {g!r}")
 
 
 def _face_with_indices(g: ToricMonoid, indices):
     """The face whose generator index set is exactly ``indices``, or None."""
-    for face in faces(g):
-        if face.generator_indices == indices:
-            return face
-    return None
+    return _face_index(g).get(indices)
 
 
 def prime_ideals(g: ToricMonoid) -> tuple:
@@ -454,30 +460,38 @@ def localize(g: ToricMonoid, f: MonoidFace) -> ToricMonoid:
     return ToricMonoid(g.ambient_rank, g.generators + extra)
 
 
+@memo
 def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
     """The quotient of the generated group by the face's group, with the
-    images of all generators in free/torsion coordinates."""
+    images of all generators in free/torsion coordinates.
+
+    With ``u F v = S`` the Smith form of the face generators' coordinates
+    ``F``, row ``i`` of ``u`` maps the generated group onto the ``i``-th
+    summand of the quotient, so only the rows with Smith entry 0 (free) or
+    above 1 (torsion) are applied.  Memoized by value: the atlas, its
+    strata and the fibers of one monoid share each face's ghost.
+    """
     _require_face(g, f)
     k = len(gp(g))
     coords = _generator_coordinates(g)
     cols = tuple(
         tuple(coords[j][i] for j in f.generator_indices) for i in range(k)
     )
-    s, u, v = snf(cols)
+    s, u, _ = snf(cols)
+    # Nonzero Smith entries come first.
     diag = [s[i][i] for i in range(min(k, len(f.generator_indices)))]
-    nonzero = [i for i, dv in enumerate(diag) if dv != 0]
-    torsion_pos = [i for i in nonzero if diag[i] > 1]
-    free_pos = [i for i in range(k) if i not in set(nonzero)]
-    invariants = AbelianGroupInvariants(
-        k - len(nonzero), tuple(diag[i] for i in torsion_pos)
+    r = sum(1 for dv in diag if dv)
+    free_rows = u[r:]
+    torsion = [(u[i], diag[i]) for i in range(r) if diag[i] > 1]
+    invariants = AbelianGroupInvariants(k - r, tuple(dv for _, dv in torsion))
+    images = tuple(
+        (
+            tuple(pairing(row, c) for row in free_rows),
+            tuple(pairing(row, c) % dv for row, dv in torsion),
+        )
+        for c in coords
     )
-    images = []
-    for c in coords:
-        y = mat_vec(u, c)
-        free = tuple(y[i] for i in free_pos)
-        tors = tuple(y[i] % diag[i] for i in torsion_pos)
-        images.append((free, tors))
-    return GhostReport(f, invariants, tuple(images))
+    return GhostReport(f, invariants, images)
 
 
 def monoid_equal(a: ToricMonoid, b: ToricMonoid) -> bool:

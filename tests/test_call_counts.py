@@ -8,7 +8,7 @@ import json
 import sys
 
 from test_memo import clear_memos
-from torolog import cones, fans, monoids, morphisms
+from torolog import cones, fans, lattice, monoids, morphisms
 from torolog.cli import main
 from torolog.cones import RationalCone
 from torolog.fans import (
@@ -19,12 +19,13 @@ from torolog.fans import (
     validate_fan_of_monoids,
 )
 from torolog.lattice import mat_identity
-from torolog.monoids import ToricMonoid, exponent_cone
+from torolog.monoids import ToricMonoid, exponent_cone, faces, ghost
 from torolog.morphisms import (
     ToricMorphismData,
     check_morphism,
     normalization_morphism,
 )
+from torolog.rounding import fiber_structure, rounding_report
 
 HEXAGON = ToricMonoid(
     3, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1))
@@ -136,6 +137,29 @@ def test_validating_the_130_chart_parabola_atlas_costs_no_pass_or_search(
         assert len(atlas.entries) == 130
         assert both - built == 0, name
         assert report.failures == ()
+
+
+def test_an_atlas_and_its_rounding_find_each_face_and_ghost_once(
+    monkeypatch,
+):
+    # The atlas, its validation, its rounding report and the ghost and fiber
+    # of each face all ask for the same 14 face correspondences, ghosts and
+    # cone dimensions, so each is computed once, not once per caller.
+    def pipeline():
+        atlas = affine_atlas(HEXAGON)
+        report = validate_fan_of_monoids(atlas)
+        rows = rounding_report(atlas)
+        for f in faces(HEXAGON):
+            ghost(HEXAGON, f)
+            fiber_structure(HEXAGON, f)
+        return report, rows
+
+    for module, name in (
+        (fans, "_perp_face_indices"), (lattice, "snf"), (lattice, "lattice_rank"),
+    ):
+        calls, (report, rows) = count_calls(monkeypatch, module, name, pipeline)
+        assert calls == 14, name
+        assert report.failures == () and len(rows) == 14
 
 
 def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):

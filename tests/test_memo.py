@@ -8,6 +8,8 @@ size constant, and that cold and warm calls agree on a seeded corpus.
 
 import random
 
+import pytest
+
 from conftest import random_monoid
 from torolog import cones, fans, lattice, monoids
 from torolog.cones import RationalCone
@@ -22,7 +24,8 @@ from torolog.lattice import (
     snf,
     solve_integer,
 )
-from torolog.monoids import ToricMonoid, faces, ghost, saturate
+from torolog.monoids import ToricMonoid, _face_index, faces, ghost, saturate
+from torolog.rounding import fiber_structure, rounding_report
 
 MEMOS = [
     obj
@@ -46,7 +49,8 @@ def test_every_memo_is_bounded_by_the_one_size_constant():
     assert names >= {
         "_hnf", "_snf", "_canonical_form", "dual_cone", "exponent_cone",
         "faces", "gp", "_gp_matrix", "_splitting", "saturate",
-        "validate_fan_of_monoids",
+        "validate_fan_of_monoids", "dim", "_face_index", "ghost",
+        "_perp_face",
     }
     assert all(fn.cache_info().maxsize == MEMO_SIZE for fn in MEMOS)
 
@@ -87,9 +91,29 @@ def test_cone_accepts_lists_of_lists():
     assert c.lineality == ((1, 0),)
 
 
+def test_the_shared_face_index_is_read_only():
+    g = ToricMonoid(2, ((1, 0), (0, 1)))
+    index = _face_index(g)
+    face = index[(0,)]
+    with pytest.raises(TypeError):
+        index[(0,)] = faces(g)[-1]
+    with pytest.raises(TypeError):
+        del index[(0,)]
+    assert not any(hasattr(index, name) for name in ("pop", "clear", "update"))
+    assert _face_index(g)[(0,)] is face
+
+
 def results(g):
     fs = faces(g)
-    return fs, tuple(ghost(g, f) for f in fs), saturate(g), affine_atlas(g)
+    atlas = affine_atlas(g)
+    return (
+        fs,
+        tuple(ghost(g, f) for f in fs),
+        tuple(fiber_structure(g, f) for f in fs),
+        saturate(g),
+        atlas,
+        rounding_report(atlas),
+    )
 
 
 def test_cold_and_warm_results_agree_on_equal_monoids():

@@ -13,9 +13,19 @@ import pytest
 from conftest import random_monoid
 from torolog.cones import RationalCone, contains, dual_cone, is_face_of
 from torolog.cones import faces as cone_faces
-from torolog.lattice import mat_vec, pairing, snf, transpose
+from torolog.lattice import (
+    AbelianGroupInvariants,
+    mat_vec,
+    pairing,
+    snf,
+    transpose,
+)
 from torolog.monoids import (
+    MonoidFace,
     ToricMonoid,
+    _face_with_indices,
+    _generator_coordinates,
+    _require_face,
     _splitting,
     edge,
     exponent_cone,
@@ -642,6 +652,97 @@ def test_ghost_sharp_generator_images_have_expected_shape():
     for i in f.generator_indices:
         free, tors = rep.sharp_generators[i]
         assert not any(free) and not any(tors)
+
+
+def full_transform_ghost(g, f):
+    """Oracle: the invariants and generator images of the ghost, from every
+    row of the Smith transform, dropping the rows with Smith entry 1."""
+    k = len(gp(g))
+    coords = _generator_coordinates(g)
+    cols = tuple(
+        tuple(coords[j][i] for j in f.generator_indices) for i in range(k)
+    )
+    s, u, _ = snf(cols)
+    diag = [s[i][i] for i in range(min(k, len(f.generator_indices)))]
+    nonzero = [i for i, dv in enumerate(diag) if dv != 0]
+    torsion_pos = [i for i in nonzero if diag[i] > 1]
+    free_pos = [i for i in range(k) if i not in nonzero]
+    images = []
+    for c in coords:
+        y = mat_vec(u, c)
+        images.append((
+            tuple(y[i] for i in free_pos),
+            tuple(y[i] % diag[i] for i in torsion_pos),
+        ))
+    invariants = AbelianGroupInvariants(
+        k - len(nonzero), tuple(diag[i] for i in torsion_pos)
+    )
+    return invariants, tuple(images)
+
+
+def test_ghost_matches_the_full_smith_transform():
+    rng = random.Random(1919)
+    torsion = 0
+    for _ in range(60):
+        g = random_monoid(rng, rng.randint(1, 4))
+        for f in faces(g):
+            rep = ghost(g, f)
+            assert (rep.invariants, rep.sharp_generators) == (
+                full_transform_ghost(g, f)
+            )
+            torsion += bool(rep.invariants.torsion)
+    assert torsion >= 20
+
+
+# ---------------------------------------------------------------------------
+# Face lookup
+# ---------------------------------------------------------------------------
+
+def scan_face_with_indices(g, indices):
+    """Oracle: the face with exactly these generator indices, found by a
+    linear scan of the faces."""
+    for face in faces(g):
+        if face.generator_indices == indices:
+            return face
+    return None
+
+
+def test_face_lookup_matches_a_linear_scan_of_the_faces():
+    rng = random.Random(2121)
+    with_units = misses = foreign = 0
+    for _ in range(80):
+        g = random_monoid(rng, rng.randint(1, 4))
+        with_units += bool(exponent_cone(g).lineality)
+        n = len(g.generators)
+        # Every index subset, in order and reversed, plus one out of range:
+        # faces and non-faces alike.
+        subsets = [
+            idx
+            for k in range(n + 1)
+            for idx in itertools.combinations(range(n), k)
+        ]
+        subsets += [idx[::-1] for idx in subsets if len(idx) > 1] + [(n,)]
+        for idx in subsets:
+            expected = scan_face_with_indices(g, idx)
+            assert _face_with_indices(g, idx) == expected
+            misses += expected is None
+        # The faces of g pass; a face of the doubled monoid has the indices
+        # of a face of g but another face monoid, and the faces of a random
+        # monoid may share indices with faces of g.
+        doubled = ToricMonoid(
+            g.ambient_rank, [tuple(2 * x for x in v) for v in g.generators]
+        )
+        other = random_monoid(rng, g.ambient_rank)
+        for f in faces(g) + faces(doubled) + faces(other) + (
+            MonoidFace(g, tuple(range(n))[::-1]),
+        ):
+            if f in faces(g):
+                _require_face(g, f)
+            else:
+                foreign += scan_face_with_indices(g, f.generator_indices) is not None
+                with pytest.raises(ValueError, match="is not a face of"):
+                    _require_face(g, f)
+    assert with_units >= 10 and misses >= 1000 and foreign >= 300
 
 
 # ---------------------------------------------------------------------------
