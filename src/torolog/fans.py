@@ -11,6 +11,7 @@ listing every violation with a machine-readable code.
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 from .cones import (
     RationalCone,
@@ -174,107 +175,98 @@ class FanStratum:
         return inv.rank > 0 or inv.torsion != ()
 
 
-def _maximal_cones(cones) -> list:
-    """The cones of the list that are a proper face of no other one, in the
-    order given.
+@memo
+def _cover(cones: tuple):
+    """The maximal cones of the tuple, in the order given, and a read-only
+    map from each face of one of them to the positions there of the maximal
+    cones it is a face of; every cone of the tuple is a key.
 
     A proper face has a smaller dimension, and a face of a face is a face.
     So, scanning by dimension downwards, a cone is maximal unless it is a
     face of a maximal cone found before it, and only the face lattices of
-    the maximal cones are read.
+    the maximal cones are read.  The faces of a key are the faces of any
+    maximal cone above it on its rays, in the same order.
     """
-    top, below = set(), set()
+    below, lattices = set(), {}
     for c in sorted(cones, key=dim, reverse=True):
         if c not in below:
-            top.add(c)
-            below.update(cone_faces(c))
-    return [c for c in cones if c in top]
+            below.update(lattices.setdefault(c, cone_faces(c)))
+    top = tuple(c for c in cones if c in lattices)
+    above = {}
+    for k, m in enumerate(top):
+        for face in lattices[m]:
+            above[face] = above.get(face, frozenset()) | {k}
+    return top, MappingProxyType(above)
 
 
 def validate_fan(f: Fan) -> ValidationReport:
     """Check sharpness, face closure, and that every two cones meet in a
     cone of the fan that is a face of both.
 
-    Once the cones are sharp, only the maximal cones are read: if their
-    faces are in the fan, so are the faces of every cone, and if each pair
-    of them meets in a face of both, so does every pair of their faces, and
-    the fan is valid.  Otherwise the faces of every cone are looked up and
-    every pair of cones is checked, so each violation becomes one report
-    entry; a valid fan yields an empty failure list.
+    All is read from the fan's cover (``_cover``).  Every cone is a face of
+    a maximal cone, so the fan is closed under faces exactly when the cover
+    has as many faces as the fan has cones.  Then, with the cones sharp, if
+    each pair of maximal cones meets in a face of both, so does every pair
+    of their faces, and the fan is valid.  Otherwise every cone's faces and
+    every pair of cones are checked, so each violation becomes one entry.
 
-    Every cone is a face of some maximal cone.  Two faces of one cone meet
-    in its face spanned by their common rays (faces of a cone share its
-    lineality, so this holds for cones with lineality too), and that meet
-    is a face of both.  So a pair of cones with a common maximal cone reads
-    its meet from that cone's face lattice; only the other pairs are
-    intersected and tested for meeting in a common face.  The faces of each
-    cone are read there too, as the faces of a maximal cone through it on
-    its rays, so no other face lattice is walked.
+    Two faces of one cone meet in its face spanned by their common rays
+    (faces of a cone share its lineality, so this holds for cones with
+    lineality too), and that meet is a face of both.  So a pair of cones
+    with a common maximal cone reads its meet from that cone's face
+    lattice; only the other pairs are intersected and tested for meeting in
+    a common face.  The faces of each cone are read there too.
     """
     failures = []
-    present = set(f.cones)
     for c in f.cones:
         if not is_sharp(c):
             failures.append(
                 ValidationFailure("not-sharp", f"cone {c!r} has lineality")
             )
-    top = _maximal_cones(f.cones)
-    if not failures:
-        if all(
-            face in present for c in top for face in cone_faces(c)
-        ) and all(
-            is_face_of(meet := intersect(a, b), a) and is_face_of(meet, b)
-            for a, b in combinations(top, 2)
-        ):
-            return ValidationReport(())
-    # Each face of a maximal cone: the maximal cones it lies in; each
-    # maximal cone: its faces by ray set.
-    above, lattices = {}, []
-    for k, m in enumerate(top):
-        lattice = {}
-        for face in cone_faces(m):
-            above.setdefault(face, set()).add(k)
-            lattice[frozenset(face.rays)] = face
-        lattices.append(lattice)
-    rays = {c: frozenset(c.rays) for c in f.cones}
-    missing = [[t for t in cone_faces(m) if t not in present] for m in top]
-    for c in f.cones:
-        # The faces of a face of a maximal cone are that cone's faces on its
-        # rays, in the same order.
-        for face in missing[min(above[c])]:
-            if rays[c].issuperset(face.rays):
+    top, above = _cover(f.cones)
+    if not failures and len(above) == len(f.cones) and all(
+        {i, j} <= above.get(intersect(top[i], top[j]), set())
+        for i, j in combinations(range(len(top)), 2)
+    ):
+        return ValidationReport(())
+    # Each maximal cone's faces by ray set, and those missing from the fan;
+    # each cone's maximal cones and rays, by position.
+    present = set(f.cones)
+    lattices = [{frozenset(t.rays): t for t in cone_faces(m)} for m in top]
+    missing = [[t for t in lat.values() if t not in present] for lat in lattices]
+    ups = [above[c] for c in f.cones]
+    rays = [frozenset(c.rays) for c in f.cones]
+    for i, c in enumerate(f.cones):
+        for face in missing[min(ups[i])]:
+            if rays[i].issuperset(face.rays):
                 failures.append(
                     ValidationFailure(
                         "missing-face", f"face {face!r} of {c!r} is not in the fan"
                     )
                 )
-    n = len(f.cones)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = f.cones[i], f.cones[j]
-            common = above[a] & above[b]
-            if common:
-                meet = lattices[min(common)][rays[a] & rays[b]]
-            else:
-                meet = intersect(a, b)
-            if meet not in present:
-                failures.append(
-                    ValidationFailure(
-                        "missing-intersection",
-                        f"intersection {meet!r} of {a!r} and {b!r} is not in "
-                        "the fan",
-                    )
+    for i, j in combinations(range(len(f.cones)), 2):
+        a, b = f.cones[i], f.cones[j]
+        common = ups[i] & ups[j]
+        if common:
+            meet = lattices[min(common)][rays[i] & rays[j]]
+        else:
+            meet = intersect(a, b)
+        if meet not in present:
+            failures.append(
+                ValidationFailure(
+                    "missing-intersection",
+                    f"intersection {meet!r} of {a!r} and {b!r} is not in "
+                    "the fan",
                 )
-            elif not common and not (
-                is_face_of(meet, a) and is_face_of(meet, b)
-            ):
-                failures.append(
-                    ValidationFailure(
-                        "improper-intersection",
-                        f"intersection {meet!r} of {a!r} and {b!r} is not a "
-                        "face of both",
-                    )
+            )
+        elif not common and not (is_face_of(meet, a) and is_face_of(meet, b)):
+            failures.append(
+                ValidationFailure(
+                    "improper-intersection",
+                    f"intersection {meet!r} of {a!r} and {b!r} is not a "
+                    "face of both",
                 )
+            )
     return ValidationReport(tuple(failures))
 
 
@@ -310,7 +302,7 @@ def _certified_charts(fm: FanOfMonoids, charts: dict):
     """
     identity = mat_identity(fm.exponent_rank)
     certified, passed = {}, True
-    for sigma in _maximal_cones(list(charts)):
+    for sigma in _cover(tuple(charts))[0]:
         monoid = charts[sigma]
         if gp(monoid) != identity or weight_cone(monoid) != sigma:
             passed = False
@@ -363,8 +355,8 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     certified, passed = _certified_charts(fm, charts)
     if not failures and len(charts) == len(fm.entries) and passed:
         return ValidationReport(())
-    n = fm.exponent_rank
-    identity = mat_identity(n)
+    identity = mat_identity(fm.exponent_rank)
+    top, above = _cover(tuple(charts))
     # A certified cone, mapped to a maximal cone certifying it; only the
     # entry at that cone which ``charts`` holds is certified.
     under = {tau: sigma for sigma, agree in certified.items() for tau in agree}
@@ -399,15 +391,11 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
             )
     for cone, monoid in fm.entries:
         sigma = certifier(cone, monoid)
-        if sigma is None:
-            below = cone_faces(cone)
-        else:
-            # The faces of a face of ``sigma`` are the faces of ``sigma`` on
-            # its rays, in the same order.
-            rays = set(cone.rays)
-            below = [t for t in cone_faces(sigma) if rays.issuperset(t.rays)]
-        for tau in below:
-            if tau == cone or tau not in seen:
+        # The faces of a cone are the faces of a maximal cone above it on
+        # its rays, in the same order.
+        rays = set(cone.rays)
+        for tau in cone_faces(top[min(above[cone])]):
+            if not rays.issuperset(tau.rays) or tau == cone or tau not in seen:
                 continue  # absence is already a fan failure
             if sigma is not None:
                 agrees = tau in certified[sigma]
@@ -466,7 +454,7 @@ def strata(fm: FanOfMonoids) -> tuple:
     """One stratum per fan cone: orbit dimension and chart ghost data.
 
     The ghost at a cone is computed in the first maximal chart containing it,
-    in canonical order.
+    in canonical order, as the fan's cover (``_cover``) lists them.
     """
     report = validate_fan_of_monoids(fm)
     if not report.ok:
@@ -474,16 +462,15 @@ def strata(fm: FanOfMonoids) -> tuple:
             "invalid fan of monoids: "
             + "; ".join(f.code for f in report.failures)
         )
-    cones = [c for c, _ in fm.entries]
     lookup = dict(fm.entries)
-    maximal = _maximal_cones(cones)
+    top, above = _cover(tuple(lookup))
     rows = []
-    for cone in cones:
+    for cone in lookup:
         # Validation found the entry at this cone to be the localization of
         # every maximal chart through it along the face vanishing on the
         # cone, so that face's group is the entry's unit group in each of
         # them, and every maximal chart gives the same ghost invariants.
-        monoid = lookup[next(m for m in maximal if is_face_of(cone, m))]
+        monoid = lookup[top[min(above[cone])]]
         phi = _perp_face(monoid, cone)
         rows.append(
             FanStratum(

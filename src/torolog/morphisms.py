@@ -11,12 +11,12 @@ and pushing radial and angular data through the dual coordinates.
 
 from dataclasses import dataclass, field
 
-from .cones import contains, is_face_of
+from .cones import contains, faces
 from .fans import (
     FanOfMonoids,
     ValidationFailure,
     ValidationReport,
-    _maximal_cones,
+    _cover,
     affine_atlas,
     validate_fan_of_monoids,
 )
@@ -76,25 +76,25 @@ class ToricMorphismData:
 def _chart_failures(d: ToricMorphismData, entries):
     """The failures of the source entries given, in order: an image lying
     in no target cone, then each dual image missing from the source chart.
-    A dual image that is a generator of the source chart needs no search."""
+    A dual image that is a generator of the source chart needs no search.
+    The target is valid, so an image lies in a target cone exactly when it
+    lies in a maximal one, and the smallest target cone containing it is the
+    first face of that one, in ``faces`` order, containing it."""
     targets = dict(d.target.entries)
+    top = _cover(tuple(targets))[0]
     for cone1, chart1 in entries:
         image = [mat_vec(d.nu, v) for v in cone1.generating_vectors()]
-        containing = [
-            c2
-            for c2 in targets
-            if all(contains(c2, w) for w in image)
-        ]
-        if not containing:
+        sigma = next(
+            (c2 for c2 in top if all(contains(c2, w) for w in image)), None
+        )
+        if sigma is None:
             yield ValidationFailure(
                 "no-containing-cone",
                 f"the image of {cone1!r} lies in no target cone",
             )
             continue
-        # The target is valid, so the containing cones meet in one of them:
-        # the one that is a face of all the others.
         minimal = next(
-            c2 for c2 in containing if all(is_face_of(c2, o) for o in containing)
+            t for t in faces(sigma) if all(contains(t, w) for w in image)
         )
         listed = set(chart1.generators)
         for gen in targets[minimal].generators:
@@ -139,7 +139,7 @@ def check_morphism(d: ToricMorphismData) -> ValidationReport:
     if failures:
         return ValidationReport(tuple(failures))
     charts = dict(d.source.entries)
-    top = [(c, charts[c]) for c in _maximal_cones(list(charts))]
+    top = [(c, charts[c]) for c in _cover(tuple(charts))[0]]
     if next(_chart_failures(d, top), None) is None:
         return ValidationReport(())
     return ValidationReport(tuple(_chart_failures(d, d.source.entries)))

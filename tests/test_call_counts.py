@@ -9,7 +9,7 @@ import sys
 
 from test_memo import clear_memos
 from torolog import cones, fans, lattice, monoids, morphisms
-from torolog.cli import main
+from torolog.cli import fanmon_to_json, main
 from torolog.cones import RationalCone
 from torolog.fans import (
     Fan,
@@ -185,6 +185,48 @@ def test_a_hexagon_fan_with_a_ray_dropped_intersects_no_cones(monkeypatch):
     assert {f.code for f in report.failures} == {
         "missing-face", "missing-intersection",
     }
+
+
+def test_a_rounding_report_finds_the_maximal_cones_once(monkeypatch):
+    # Validation, its fan check and the strata all read one memoized cover
+    # of the atlas's cones, and none tests whether a cone is a face of
+    # another.
+    calls, rows = count_calls(
+        monkeypatch, cones, "is_face_of",
+        lambda: rounding_report(affine_atlas(HEXAGON)),
+    )
+    assert len(rows) == 14
+    assert (fans._cover.cache_info().misses, calls) == (1, 0)
+
+
+def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
+    monkeypatch, tmp_path, capsys
+):
+    # 129 cones and 8,256 pairs inside the one maximal cone.  The pairs are
+    # looked up by position in the fan's cover; only each meet's presence
+    # in the fan hashes a cone.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    entries = fanmon_to_json(affine_atlas(parabola))["entries"]
+    ray = next(e["cone"] for e in entries if len(e["cone"]["rays"]) == 1)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "ambient_rank": 3,
+        "cones": [e["cone"] for e in entries if e["cone"] is not ray],
+    }))
+    original = RationalCone.__hash__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    clear_memos()
+    with monkeypatch.context() as m:
+        m.setattr(RationalCone, "__hash__", counted)
+        code = main(["fan", "check", "--input", str(path)])
+    assert code == 1
+    assert capsys.readouterr().out.count("\nmissing-face:") == 3
+    assert len(calls) == 9814
 
 
 def test_a_hexagon_atlas_with_its_minimal_chart_doubled_rechecks_one_chart(

@@ -25,7 +25,8 @@ from test_cli import (
     TORSION_JSON,
 )
 from torolog.cli import _VERBS, cone_to_json, fanmon_to_json, main
-from torolog.fans import affine_atlas
+from torolog.cones import RationalCone, faces
+from torolog.fans import Fan, affine_atlas, normal_fan_of_monoids
 from torolog.monoids import ToricMonoid
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -38,6 +39,14 @@ TORSION_ATLAS = fanmon_to_json(
 LINE_CHART = next(
     i for i, (_, m) in enumerate(_LINE.entries) if m.generators == ((1,),)
 )
+# The normal fan of monoids of the complete fan of the four quadrants: four
+# maximal cones, and each ray a face of two of them.
+QUADRANTS_NORMAL = fanmon_to_json(normal_fan_of_monoids(Fan(2, [
+    f
+    for sx in (1, -1)
+    for sy in (1, -1)
+    for f in faces(RationalCone(2, ((sx, 0), (0, sy))))
+])))
 
 
 def _wrong_chart_atlas():
@@ -118,12 +127,17 @@ PAYLOADS = [
     ("morphism", "check", {"nu": [["1"]], "source": LINE_ATLAS,
                            "target": LINE_ATLAS,
                            "point": dict(_point_request(0), source_chart=9)}),
+    # The image of the line's ray lies on the x-axis, a face of two
+    # quadrants and itself no maximal cone.
+    ("morphism", "check", {"nu": [["1"], ["0"]], "source": LINE_ATLAS,
+                           "target": QUADRANTS_NORMAL}),
     ("round", "report", ATLAS_JSON),
     ("round", "report", TORSION_ATLAS),
     ("round", "report", NN2_JSON),
     ("round", "report", TORSION_JSON),
     ("round", "report", {"rank": 2, "entries": [
         e for e in ATLAS_JSON["entries"] if e["cone"]["rays"]]}),
+    ("round", "report", QUADRANTS_NORMAL),
     ("round", "fiber", {"monoid": TORSION_JSON, "face": [2]}),
     ("round", "fiber", {"monoid": NUMERICAL_JSON, "face": [0, 1],
                         "images": [[4.0, "0"], [8.0, "1/2"]]}),

@@ -21,6 +21,7 @@ from torolog.fans import (
     FanStratum,
     ValidationFailure,
     ValidationReport,
+    _cover,
     _perp_face_indices,
     affine_atlas,
     normal_fan_of_monoids,
@@ -32,6 +33,7 @@ from torolog.lattice import mat_identity
 from torolog.monoids import (
     ToricMonoid,
     _face_with_indices,
+    ghost,
     gp,
     is_saturated,
     localize,
@@ -310,6 +312,26 @@ def test_the_eight_cone_overlap_matches_the_pairwise_oracle():
     rays = [RationalCone(2, (r,)) for r in ((1, 0), (0, 1), (1, 1), (-1, 1))]
     fan = Fan(2, (QUADRANT, wedge, meet, *rays, ORIGIN))
     assert validate_fan(fan) == pairwise_validate_fan(fan)
+
+
+def test_the_cover_matches_the_maximal_cone_oracle():
+    # The seeded fans and, drawn from the same seed in the same order, the
+    # broken fans of the pairwise oracle test above.
+    rng = random.Random(79)
+    fans = []
+    for fan in seeded_atlas_fans() + seeded_normal_fans():
+        fans.append(fan)
+        if fan.cones[-1].rays:
+            fans.extend(broken_fans(fan, rng))
+    assert sum(len(maximal_cones(f)) > 1 for f in fans) >= 60
+    for fan in fans:
+        top, above = _cover(fan.cones)
+        assert list(top) == maximal_cones(fan), fan
+        assert set(above) == {t for m in top for t in cone_faces(m)}, fan
+        for c in fan.cones:
+            assert above[c] == {
+                k for k, m in enumerate(top) if is_face_of(c, m)
+            }, (fan, c)
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +683,28 @@ def test_strata_ghost_rank_equals_cone_dimension():
             assert row.orbit_dimension == affine_atlas(g).exponent_rank - dim(
                 row.cone
             )
+
+
+def scanned_strata(fm):
+    """The strata with each cone's ghost taken in the first maximal chart
+    found, by scanning the maximal cones for one the cone is a face of."""
+    lookup = dict(fm.entries)
+    maximal = maximal_cones(fm.fan())
+    rows = []
+    for cone in lookup:
+        monoid = lookup[next(m for m in maximal if is_face_of(cone, m))]
+        phi = _face_with_indices(monoid, _perp_face_indices(monoid, cone))
+        rows.append(
+            FanStratum(cone, fm.exponent_rank - dim(cone), ghost(monoid, phi))
+        )
+    return tuple(rows)
+
+
+def test_strata_match_the_scanning_oracle():
+    fans = seeded_atlases() + seeded_normal_fans_of_monoids()
+    assert sum(len(maximal_cones(fm.fan())) > 1 for fm in fans) >= 6
+    for fm in fans:
+        assert strata(fm) == scanned_strata(fm), fm
 
 
 def test_strata_rejects_invalid_input():
