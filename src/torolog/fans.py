@@ -9,7 +9,6 @@ charts.  Validation never raises on axiom failures: it returns a report
 listing every violation with a machine-readable code.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 
@@ -22,7 +21,7 @@ from .cones import (
     is_sharp,
 )
 from .cones import faces as cone_faces
-from .lattice import mat_identity, memo, pairing
+from .lattice import mat_identity, memo, pairing, record
 from .monoids import (
     FiberReport,
     GhostReport,
@@ -51,13 +50,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ValidationFailure:
     code: str
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     failures: tuple
 
@@ -153,7 +152,7 @@ class FanOfMonoids:
         return f"FanOfMonoids({self.exponent_rank}, {self.entries})"
 
 
-@dataclass(frozen=True)
+@record
 class FanStratum:
     """One locally closed stratum of the glued space: its indexing cone, the
     dimension of the corresponding orbit, and the ghost data of any maximal
@@ -229,11 +228,12 @@ def validate_fan(f: Fan) -> ValidationReport:
         for i, j in combinations(range(len(top)), 2)
     ):
         return ValidationReport(())
-    # Each maximal cone's faces by ray set, and those missing from the fan;
-    # each cone's maximal cones and rays, by position.
+    # Each maximal cone's faces by ray set, each with its presence in the
+    # fan, and those missing; each cone's maximal cones and rays, by position.
     present = set(f.cones)
-    lattices = [{frozenset(t.rays): t for t in cone_faces(m)} for m in top]
-    missing = [[t for t in lat.values() if t not in present] for lat in lattices]
+    lattices = [{frozenset(t.rays): (t, t in present) for t in cone_faces(m)}
+                for m in top]
+    missing = [[t for t, here in lat.values() if not here] for lat in lattices]
     ups = [above[c] for c in f.cones]
     rays = [frozenset(c.rays) for c in f.cones]
     for i, c in enumerate(f.cones):
@@ -248,10 +248,11 @@ def validate_fan(f: Fan) -> ValidationReport:
         a, b = f.cones[i], f.cones[j]
         common = ups[i] & ups[j]
         if common:
-            meet = lattices[min(common)][rays[i] & rays[j]]
+            meet, here = lattices[min(common)][rays[i] & rays[j]]
         else:
             meet = intersect(a, b)
-        if meet not in present:
+            here = meet in present
+        if not here:
             failures.append(
                 ValidationFailure(
                     "missing-intersection",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -35,6 +35,22 @@ MEMO_SIZE = 64
 # Least-recently-used cache keyed by the values of the (hashable) arguments.
 # Every caller gets the same result object, so memoized results are immutable.
 memo = functools.lru_cache(maxsize=MEMO_SIZE)
+
+
+def record(cls):
+    """Class decorator: ``cls`` as an immutable named tuple of its annotated
+    fields, with the methods and docstring of its body.  A record equals
+    only records of its own class, hashes as the tuple of its fields and
+    prints as ``Name(field=value, ...)``.  A ``__new__`` in the body builds
+    the value with ``tuple.__new__``, since ``super()`` there names ``cls``."""
+    def eq(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+    body = dict(vars(cls), __slots__=(), __eq__=eq, __hash__=tuple.__hash__,
+                __ne__=lambda self, other: not eq(self, other))
+    del body["__dict__"], body["__weakref__"]
+    fields = namedtuple(cls.__name__, cls.__annotations__, module=cls.__module__)
+    return type(cls.__name__, (fields,), body)
+
 
 __all__ = [
     "IntVec",
@@ -329,7 +345,7 @@ def solve_integer(m: IntMat, b: IntVec) -> IntVec | None:
     return tuple(sum(u[i][k] * y[k] for k in range(cols)) for i in range(cols))
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroupInvariants:
     """Isomorphism type Z^rank x Z/t1 x ... x Z/tk with t1 | t2 | ... | tk.
 

@@ -7,7 +7,6 @@ demand; what the other computations reuse is memoized by the monoid's value.
 """
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .cones import RationalCone, _dual_description, contains, dim, dual_cone
@@ -19,6 +18,7 @@ from .lattice import (
     mat_vec,
     memo,
     pairing,
+    record,
     snf,
     solve_integer,
     transpose,
@@ -88,7 +88,7 @@ class ToricMonoid:
         return f"ToricMonoid({self.ambient_rank}, {self.generators})"
 
 
-@dataclass(frozen=True)
+@record
 class MonoidFace:
     """A face of a monoid: the face submonoid plus the parent generator
     indices lying on it."""
@@ -97,7 +97,7 @@ class MonoidFace:
     generator_indices: tuple
 
 
-@dataclass(frozen=True)
+@record
 class PrimeIdeal:
     """A prime ideal, recorded as the face it is the complement of together
     with the generator indices it contains."""
@@ -106,7 +106,7 @@ class PrimeIdeal:
     complement_indices: tuple
 
 
-@dataclass(frozen=True)
+@record
 class GhostReport:
     """The quotient of the generated group by a face's group.
 
@@ -119,7 +119,7 @@ class GhostReport:
     sharp_generators: tuple
 
 
-@dataclass(frozen=True)
+@record
 class FiberReport:
     """Shape of a collapse fiber: a disjoint union of ``components`` copies
     of a real torus of dimension ``torus_rank``."""
@@ -193,8 +193,14 @@ def _splitting(g: ToricMonoid):
         tuple(g.generators[j][i] for j in unit_idx)
         for i in range(g.ambient_rank)
     )
-    relieve = None
-    if n:
+    units = {g.generators[j] for j in unit_idx}
+    if not n:
+        relieve = None
+    elif all(tuple(-x for x in u) in units for u in units):
+        # The generators are distinct and nonzero, so the units split into
+        # pairs u, -u, whose relations sum to the all-ones relation.
+        relieve = (1,) * n
+    else:
         # Extreme rays of {x >= 0 : sum(x_j * unit_j) == 0}.  Each -unit_j is
         # a nonnegative combination of units, so every coordinate is positive
         # on some ray and the sum of the rays is strictly positive.

@@ -9,8 +9,6 @@ composed with the monoid map, restricting support faces to their preimages
 and pushing radial and angular data through the dual coordinates.
 """
 
-from dataclasses import dataclass, field
-
 from .cones import contains, faces
 from .fans import (
     FanOfMonoids,
@@ -20,7 +18,7 @@ from .fans import (
     affine_atlas,
     validate_fan_of_monoids,
 )
-from .lattice import mat_identity, mat_vec, solve_integer, transpose
+from .lattice import mat_identity, mat_vec, record, solve_integer, transpose
 from .monoids import (
     ToricMonoid,
     _face_with_indices,
@@ -43,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ToricMorphismData:
     """An integer lattice map between the ambient lattices of two fans.
 
@@ -55,22 +53,24 @@ class ToricMorphismData:
     nu: tuple
     source: FanOfMonoids
     target: FanOfMonoids
-    nu_dual: tuple = field(init=False)
+    nu_dual: tuple
 
-    def __post_init__(self):
-        nu = tuple(tuple(row) for row in self.nu)
-        if len(nu) != self.target.exponent_rank:
+    def __new__(cls, nu, source, target):
+        nu = tuple(tuple(row) for row in nu)
+        if len(nu) != target.exponent_rank:
             raise ValueError(
                 "the matrix must have one row per target coordinate"
             )
-        if any(len(row) != self.source.exponent_rank for row in nu):
+        if any(len(row) != source.exponent_rank for row in nu):
             raise ValueError(
                 "the matrix must have one column per source coordinate"
             )
         if any(not isinstance(x, int) for row in nu for x in row):
             raise ValueError("the matrix entries must be integers")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "nu_dual", transpose(nu))
+        return tuple.__new__(cls, (nu, source, target, transpose(nu)))
+
+    def __getnewargs__(self):
+        return self[:3]
 
 
 def _chart_failures(d: ToricMorphismData, entries):

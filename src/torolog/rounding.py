@@ -15,7 +15,6 @@ lattice is the ghost group of the face, which is what
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -25,6 +24,7 @@ from .lattice import (
     AbelianGroupInvariants,
     mat_identity,
     quotient_invariants,
+    record,
     solve_integer,
 )
 from .monoids import (
@@ -133,7 +133,7 @@ def _combine(combination, values):
     return sum((c * v for c, v in zip(combination, values)), Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class RoundingPoint:
     """A map from the monoid into nonnegative radii paired with angles.
 
@@ -147,23 +147,22 @@ class RoundingPoint:
     radial_log: tuple
     angle: tuple
 
-    def __post_init__(self):
-        _require_face(self.monoid, self.support_face)
-        radial = tuple(float(x) for x in self.radial_log)
-        if len(radial) != len(gp(self.support_face.monoid)):
+    def __new__(cls, monoid, support_face, radial_log, angle):
+        _require_face(monoid, support_face)
+        radial = tuple(float(x) for x in radial_log)
+        if len(radial) != len(gp(support_face.monoid)):
             raise ValueError(
                 "radial data must match the rank of the support face group"
             )
-        ang = tuple(_normalize_angle(a) for a in self.angle)
-        if len(ang) != len(gp(self.monoid)):
+        ang = tuple(_normalize_angle(a) for a in angle)
+        if len(ang) != len(gp(monoid)):
             raise ValueError(
                 "angle data must match the rank of the generated group"
             )
-        object.__setattr__(self, "radial_log", radial)
-        object.__setattr__(self, "angle", ang)
+        return tuple.__new__(cls, (monoid, support_face, radial, ang))
 
 
-@dataclass(frozen=True)
+@record
 class ComplexPoint:
     """A map from the monoid into the complex numbers, supported on a face.
 
@@ -176,18 +175,17 @@ class ComplexPoint:
     radial_log: tuple
     angle: tuple
 
-    def __post_init__(self):
-        _require_face(self.monoid, self.support_face)
-        k = len(gp(self.support_face.monoid))
-        radial = tuple(float(x) for x in self.radial_log)
-        ang = tuple(_normalize_angle(a) for a in self.angle)
+    def __new__(cls, monoid, support_face, radial_log, angle):
+        _require_face(monoid, support_face)
+        k = len(gp(support_face.monoid))
+        radial = tuple(float(x) for x in radial_log)
+        ang = tuple(_normalize_angle(a) for a in angle)
         if len(radial) != k or len(ang) != k:
             raise ValueError(
                 "radial and angle data must match the rank of the support "
                 "face group"
             )
-        object.__setattr__(self, "radial_log", radial)
-        object.__setattr__(self, "angle", ang)
+        return tuple.__new__(cls, (monoid, support_face, radial, ang))
 
 
 def base_point(g: ToricMonoid) -> RoundingPoint:
@@ -388,7 +386,7 @@ def milnor_stratum_fiber(multiplicities) -> FiberReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class LogStalk:
     """Normal form of the stalk of the divisorial log structure at a point
     supported on a face.
@@ -458,7 +456,7 @@ class LogPointKind(Enum):
     POLAR = "polar"
 
 
-@dataclass(frozen=True)
+@record
 class LogPointDescriptor:
     kind: LogPointKind
     carrier: str
@@ -494,7 +492,7 @@ def log_point(kind) -> LogPointDescriptor:
     return LogPointDescriptor(kind, carrier, evaluation)
 
 
-@dataclass(frozen=True)
+@record
 class PointStratum:
     face: MonoidFace
     torus_rank: int

@@ -11,9 +11,7 @@ point is ``Z^k``) and Milnor-type fibers come from
 multiplicities.
 """
 
-from dataclasses import dataclass
-
-from .lattice import AbelianGroupInvariants
+from .lattice import AbelianGroupInvariants, record
 from .rounding import FiberReport, milnor_stratum_fiber
 
 __all__ = [
@@ -130,14 +128,14 @@ def _proper_subsets(s):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class StratumRow:
     simplex: tuple
     stratum_dimension: int
     fiber: FiberReport
 
 
-@dataclass(frozen=True)
+@record
 class MilnorReport:
     rows: tuple
     components_by_depth: tuple

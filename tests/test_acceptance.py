@@ -14,13 +14,19 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from conftest import random_cone, random_monoid
+from test_fans import seeded_normal_fans
 from test_memo import clear_memos
 from test_monoids import brute_force_membership, witness_is_valid
 from test_rounding import brute_force_components, count_rounding_points
 
 from torolog.cli import fanmon_to_json, main
 from torolog.cones import RationalCone, dim, dual_cone
-from torolog.fans import FanOfMonoids, affine_atlas, validate_fan_of_monoids
+from torolog.fans import (
+    FanOfMonoids,
+    affine_atlas,
+    normal_fan_of_monoids,
+    validate_fan_of_monoids,
+)
 from torolog.lattice import mat_identity, solve_integer
 from torolog.monoids import (
     ToricMonoid,
@@ -426,3 +432,15 @@ def test_criterion_hilbert_basis_ignores_coordinate_signs():
         for s in (1, -1):
             rays = ((s, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (7 * s, 7, 7, 1))
             assert set(hilbert_basis(RationalCone(4, rays))) == set(rays)
+
+
+def test_criterion_a_19_cone_normal_fan_of_monoids_validates_quickly():
+    # Its group chart has 36 units, in pairs; a double-description relieve
+    # for them takes about 50 s.  The check takes about 0.13 s on a 2-vCPU
+    # machine.
+    fan = seeded_normal_fans()[7]
+    clear_memos()
+    fm = normal_fan_of_monoids(fan)
+    with criterion("the seed-73 rank-3 normal fan of monoids validates", 1.0):
+        assert len(fm.entries) == 19
+        assert validate_fan_of_monoids(fm).ok

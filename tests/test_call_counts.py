@@ -103,6 +103,26 @@ def test_a_cone_and_its_dual_come_from_one_double_description_pass(
     assert (built, dual, meet) == (1, 0, 1)
 
 
+def test_splitting_a_chart_with_paired_units_makes_no_pass(monkeypatch):
+    # The hexagon's localization at a 2-face and the group chart Z^3: every
+    # unit's negative is a generator.  Only the exponent cone's own pass is
+    # made, none for relieve.
+    face_chart = monoids.localize(HEXAGON, faces(HEXAGON)[-2])
+    group = ToricMonoid(3, mat_identity(3) + tuple(
+        tuple(-x for x in row) for row in mat_identity(3)
+    ))
+    for g, units in ((face_chart, 4), (group, 6)):
+        built, _ = count_calls(
+            monkeypatch, cones, "_dual_description", lambda: exponent_cone(g)
+        )
+        both, split = count_calls(
+            monkeypatch, cones, "_dual_description",
+            lambda: (exponent_cone(g), monoids._splitting(g))[1],
+        )
+        assert (built, both) == (1, 1)
+        assert split[4] == (1,) * units
+
+
 def test_an_atlas_makes_one_pass_and_its_validation_none(monkeypatch):
     built, atlas = count_calls(
         monkeypatch, cones, "_dual_description", lambda: affine_atlas(HEXAGON)
@@ -203,8 +223,9 @@ def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
     monkeypatch, tmp_path, capsys
 ):
     # 129 cones and 8,256 pairs inside the one maximal cone.  The pairs are
-    # looked up by position in the fan's cover; only each meet's presence
-    # in the fan hashes a cone.
+    # looked up by position in the fan's cover, and each meet's presence in
+    # the fan is read from the maximal cone's face lattice, so no pair
+    # hashes a cone.
     parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
     entries = fanmon_to_json(affine_atlas(parabola))["entries"]
     ray = next(e["cone"] for e in entries if len(e["cone"]["rays"]) == 1)
@@ -226,7 +247,7 @@ def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
         code = main(["fan", "check", "--input", str(path)])
     assert code == 1
     assert capsys.readouterr().out.count("\nmissing-face:") == 3
-    assert len(calls) == 9814
+    assert len(calls) == 1558
 
 
 def test_a_hexagon_atlas_with_its_minimal_chart_doubled_rechecks_one_chart(

@@ -447,13 +447,15 @@ def pairwise_validate_fan_of_monoids(fm):
 
 
 def seeded_normal_fans_of_monoids():
-    """The rank-2 seeded normal fans and the normal fan of the unit cube.
+    """The seeded normal fans and the normal fan of the unit cube.
 
-    The charts of the rank-3 seeded normal fans have up to 8 units that are
-    not in opposite pairs, and the membership search costs seconds on each
-    of them."""
-    fans = [f for f in seeded_normal_fans() if f.ambient_rank == 2]
+    The rank-3 seeded normal fans come last, so the seeded mutations drawn
+    for the other fans do not depend on them.  Their group charts have up to
+    36 units, in opposite pairs."""
+    normal = seeded_normal_fans()
+    fans = [f for f in normal if f.ambient_rank == 2]
     fans.append(normal_fan(3, list(itertools.product((0, 1), repeat=3))))
+    fans += [f for f in normal if f.ambient_rank == 3]
     return [normal_fan_of_monoids(f) for f in fans]
 
 

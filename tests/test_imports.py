@@ -1,0 +1,59 @@
+"""What importing the package loads.
+
+A ``torolog`` run imports the package once per payload, so the import
+should not pull in heavy standard modules it does not use, and it should
+leave every module in place for the benchmark tracer.  Each check runs in a
+fresh interpreter, so the modules this test process loaded do not count.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import torolog
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(torolog.__file__)))
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports torolog from SRC."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=ROOT,
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_and_cli_loads_no_dataclasses_or_inspect():
+    out = run_fresh(
+        "import sys, torolog, torolog.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert out == "[]\n"
+
+
+def test_the_bench_tracer_installs_and_uninstalls_after_the_import():
+    out = run_fresh(textwrap.dedent("""
+        import sys, torolog, torolog.cli
+        sys.path.insert(0, "bench")
+        from spans import Tracer
+        modules = [m for k, m in sys.modules.items() if k.startswith("torolog")]
+        before = [dict(vars(m)) for m in modules]
+        hnf, init = torolog.lattice.hnf, torolog.RationalCone.__init__
+        tracer = Tracer()
+        tracer.install()
+        assert torolog.lattice.hnf is not hnf
+        torolog.hnf(((2, 4), (6, 8)))
+        tracer.uninstall()
+        assert torolog.lattice.hnf is hnf
+        assert torolog.RationalCone.__init__ is init
+        assert all(
+            vars(m)[k] is v for m, b in zip(modules, before) for k, v in b.items()
+        )
+        print(tracer.metrics()["lattice.hnf.calls"])
+    """))
+    assert out == "1\n"

@@ -11,7 +11,13 @@ import random
 import pytest
 
 from conftest import random_monoid
-from torolog.cones import RationalCone, contains, dual_cone, is_face_of
+from torolog.cones import (
+    RationalCone,
+    _dual_description,
+    contains,
+    dual_cone,
+    is_face_of,
+)
 from torolog.cones import faces as cone_faces
 from torolog.lattice import (
     AbelianGroupInvariants,
@@ -168,6 +174,61 @@ def test_relieve_is_a_strictly_positive_relation_among_the_units():
             for i in range(g.ambient_rank)
         )
     assert with_units >= 50
+
+
+def circuit_rays(units):
+    """The extreme rays of {x >= 0 : sum(x_j * unit_j) == 0}, the positive
+    circuits of the units, from one double-description pass.  Their sum is
+    the ``relieve`` of a chart whose units do not come in pairs."""
+    n = len(units)
+    columns = [tuple(u[i] for u in units) for i in range(len(units[0]))]
+    _, rays = _dual_description(
+        n,
+        [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        + columns + [tuple(-x for x in c) for c in columns],
+    )
+    return rays
+
+
+def paired_unit_monoids(rng, count):
+    """Seeded monoids whose unit generators come in pairs u, -u."""
+    out = []
+    while len(out) < count:
+        rank = rng.randint(1, 4)
+        gens = list(random_monoid(rng, rank, allow_units=False).generators)
+        for _ in range(rng.randint(1, rank)):
+            v = tuple(rng.randint(-3, 3) for _ in range(rank))
+            gens += [v, tuple(-x for x in v)]
+        g = ToricMonoid(rank, gens)
+        units = {g.generators[i] for i in _splitting(g)[0]}
+        if units and all(tuple(-x for x in u) in units for u in units):
+            out.append(g)
+    return out
+
+
+def test_paired_units_relieve_by_their_pair_relations():
+    # Each pair relation e_j + e_k, for unit_k = -unit_j, is a circuit of
+    # the units, so it is among the oracle's rays; relieve is their sum.
+    rng = random.Random(67)
+    for g in paired_unit_monoids(rng, 60):
+        unit_idx, _, _, _, relieve = _splitting(g)
+        units = [g.generators[i] for i in unit_idx]
+        n = len(units)
+        assert relieve == (1,) * n
+        assert all(
+            sum(z * u[i] for z, u in zip(relieve, units)) == 0
+            for i in range(g.ambient_rank)
+        )
+        pairs = {
+            tuple(int(k in (j, units.index(tuple(-x for x in u))))
+                  for k in range(n))
+            for j, u in enumerate(units)
+        }
+        assert pairs <= set(circuit_rays(units))
+        assert relieve == tuple(map(sum, zip(*pairs)))
+        coeffs = [rng.randint(0, 3) for _ in g.generators]
+        m = mat_vec(transpose(g.generators), coeffs)
+        assert witness_is_valid(g, m, membership(g, m))
 
 
 def brute_force_membership(generators, m, bound=12):
