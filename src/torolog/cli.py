@@ -201,15 +201,17 @@ def complex_from_json(obj, complete):
     )
 
 
-def _monoid_and_face(obj):
-    g = monoid_from_json(_field(obj, "monoid", "payload"))
-    idx = tuple(
-        sorted(_as_vector(_field(obj, "face", "payload"), "face indices"))
-    )
+def _face_of(g: ToricMonoid, obj, where, what):
+    idx = tuple(sorted(_as_vector(_field(obj, "face", where), what)))
     face = _face_with_indices(g, idx)
     if face is None:
         raise InputError(f"no face has generator indices {list(idx)}")
-    return g, face
+    return face
+
+
+def _monoid_and_face(obj):
+    g = monoid_from_json(_field(obj, "monoid", "payload"))
+    return g, _face_of(g, obj, "payload", "face indices")
 
 
 def _angle_out(a):
@@ -244,10 +246,7 @@ def rounding_point_to_json(p):
 
 
 def _point_from_json(g: ToricMonoid, obj, kind):
-    idx = tuple(sorted(_as_vector(_field(obj, "face", "point"), "face")))
-    face = _face_with_indices(g, idx)
-    if face is None:
-        raise InputError(f"no face has generator indices {list(idx)}")
+    face = _face_of(g, obj, "point", "face")
     radial = tuple(
         _as_float(x, "radial_log")
         for x in _as_array(_field(obj, "radial_log", "point"), "radial_log")

@@ -69,13 +69,15 @@ def _cone_key(c: RationalCone):
     return (dim(c), c.rays, c.lineality)
 
 
+@record
 class Fan:
     """A finite collection of cones in one lattice, stored deduplicated and
     canonically ordered (dimension first)."""
 
-    __slots__ = ("ambient_rank", "cones")
+    ambient_rank: int
+    cones: tuple
 
-    def __init__(self, ambient_rank, cones):
+    def __new__(cls, ambient_rank, cones):
         if ambient_rank < 0:
             raise ValueError(f"ambient rank {ambient_rank} is negative")
         seen = set()
@@ -88,31 +90,22 @@ class Fan:
                     f"{ambient_rank} fan"
                 )
             seen.add(c)
-        self.ambient_rank = ambient_rank
-        self.cones = tuple(sorted(seen, key=_cone_key))
-
-    def __eq__(self, other):
-        if not isinstance(other, Fan):
-            return NotImplemented
-        return (
-            self.ambient_rank == other.ambient_rank
-            and self.cones == other.cones
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_rank, self.cones))
+        cones = tuple(sorted(seen, key=_cone_key))
+        return tuple.__new__(cls, (ambient_rank, cones))
 
     def __repr__(self):
         return f"Fan({self.ambient_rank}, {self.cones})"
 
 
+@record
 class FanOfMonoids:
     """Cone/monoid pairs over a shared lattice rank (the M and N sides are
     identified through the dot-product pairing)."""
 
-    __slots__ = ("exponent_rank", "entries")
+    exponent_rank: int
+    entries: tuple
 
-    def __init__(self, exponent_rank, entries):
+    def __new__(cls, exponent_rank, entries):
         if exponent_rank < 0:
             raise ValueError(f"rank {exponent_rank} is negative")
         cleaned = []
@@ -130,23 +123,11 @@ class FanOfMonoids:
                     f"do not match fan rank {exponent_rank}"
                 )
             cleaned.append((cone, monoid))
-        self.exponent_rank = exponent_rank
         unique = sorted(set(cleaned), key=lambda e: (_cone_key(e[0]), e[1].generators))
-        self.entries = tuple(unique)
+        return tuple.__new__(cls, (exponent_rank, tuple(unique)))
 
     def fan(self) -> Fan:
         return Fan(self.exponent_rank, tuple(c for c, _ in self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, FanOfMonoids):
-            return NotImplemented
-        return (
-            self.exponent_rank == other.exponent_rank
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.exponent_rank, self.entries))
 
     def __repr__(self):
         return f"FanOfMonoids({self.exponent_rank}, {self.entries})"

@@ -357,10 +357,7 @@ class AbelianGroupInvariants:
 
     @property
     def torsion_order(self) -> int:
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
+        return math.prod(self.torsion)
 
     @property
     def is_free(self) -> bool:

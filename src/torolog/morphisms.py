@@ -18,11 +18,10 @@ from .fans import (
     affine_atlas,
     validate_fan_of_monoids,
 )
-from .lattice import mat_identity, mat_vec, record, solve_integer, transpose
+from .lattice import mat_identity, mat_vec, record, transpose
 from .monoids import (
     ToricMonoid,
     _face_with_indices,
-    _gp_matrix,
     gp,
     membership,
     saturate,
@@ -30,7 +29,9 @@ from .monoids import (
 from .rounding import (
     ComplexPoint,
     RoundingPoint,
+    _angle,
     _combine,
+    _coordinates,
 )
 
 __all__ = [
@@ -190,32 +191,23 @@ def apply_to_point(mu, g2: ToricMonoid, p):
         if membership(f1.monoid, img) is not None
     )
     f2 = _face_with_indices(g2, support)
-    if f2 is None:  # pragma: no cover - preimages of faces are faces
+    polar = isinstance(p, RoundingPoint)
+    coords, full = [], []
+    if f2 is not None:
+        coords = [
+            _coordinates(f1.monoid, mat_vec(mu, b)) for b in gp(f2.monoid)
+        ]
+        if polar:
+            full = [_angle(p, mat_vec(mu, b)) for b in gp(g2)]
+    # A monoid map pulls the support face back to a face, and carries that
+    # face's group and the whole group into the point's.
+    if f2 is None or None in coords + full:  # pragma: no cover
         raise ValueError(
-            "the preimage of the support face is not a face of the source"
+            "the monoid map does not carry the preimage of the support face "
+            "and the source group into the point's groups"
         )
-
-    f1mat = _gp_matrix(f1.monoid)
-    radial = []
-    restricted = []
-    for b in gp(f2.monoid):
-        coords = solve_integer(f1mat, mat_vec(mu, b))
-        if coords is None:  # pragma: no cover - face groups map into face groups
-            raise ValueError(
-                "the image of the preimage face leaves the support face group"
-            )
-        radial.append(sum(c * x for c, x in zip(coords, p.radial_log)))
-        restricted.append(_combine(coords, p.angle))
-
-    if isinstance(p, RoundingPoint):
-        m1mat = _gp_matrix(g1)
-        full = []
-        for b in gp(g2):
-            coords = solve_integer(m1mat, mat_vec(mu, b))
-            if coords is None:  # pragma: no cover - groups map into groups
-                raise ValueError(
-                    "the image of the source group leaves the point's group"
-                )
-            full.append(_combine(coords, p.angle))
-        return RoundingPoint(g2, f2, tuple(radial), tuple(full))
-    return ComplexPoint(g2, f2, tuple(radial), tuple(restricted))
+    radial = [sum(c * x for c, x in zip(cs, p.radial_log)) for cs in coords]
+    if polar:
+        return RoundingPoint(g2, f2, radial, full)
+    angle = [_combine(cs, p.angle) for cs in coords]
+    return ComplexPoint(g2, f2, radial, angle)

@@ -107,11 +107,9 @@ def _interpret_radius(r):
     return value
 
 
-def _coordinates(basis_columns, v):
-    coords = solve_integer(basis_columns, v)
-    if coords is None:
-        raise ValueError(f"{v} does not lie in the expected lattice")
-    return coords
+def _coordinates(g: ToricMonoid, v):
+    """Coordinates of ``v`` on the basis ``gp(g)``, or None off gp(g)."""
+    return solve_integer(_gp_matrix(g), tuple(v))
 
 
 def _solving_combinations(rows, k):
@@ -260,10 +258,13 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
     return RoundingPoint(g, face, rho, theta)
 
 
-def _face_coordinates(p, m):
-    """Coordinates of ``m`` on the support-face group basis, or None when
-    the monomial vanishes at ``p``."""
-    return solve_integer(_gp_matrix(p.support_face.monoid), tuple(m))
+def _angle(p, m):
+    """The character of ``p`` at ``m``, in turns and not reduced: read on
+    gp(monoid) for a rounding point and on gp(support face) for a complex
+    point, or None when ``m`` lies off that group."""
+    group = p.monoid if isinstance(p, RoundingPoint) else p.support_face.monoid
+    coords = _coordinates(group, m)
+    return None if coords is None else _combine(coords, p.angle)
 
 
 def monomial_angle(p, m):
@@ -275,13 +276,10 @@ def monomial_angle(p, m):
     m = tuple(m)
     if membership(p.monoid, m) is None:
         raise ValueError(f"{m} is not an element of the monoid")
-    if isinstance(p, RoundingPoint):
-        coords = _coordinates(_gp_matrix(p.monoid), m)
-        return _normalize_angle(_combine(coords, p.angle))
-    coords = _face_coordinates(p, m)
-    if coords is None:
+    turn = _angle(p, m)
+    if turn is None:
         raise ValueError(f"{m} vanishes at the point and carries no angle")
-    return _normalize_angle(_combine(coords, p.angle))
+    return _normalize_angle(turn)
 
 
 def evaluate_monomial(p, m):
@@ -293,20 +291,17 @@ def evaluate_monomial(p, m):
     m = tuple(m)
     if membership(p.monoid, m) is None:
         raise ValueError(f"{m} is not an element of the monoid")
-    coords = _face_coordinates(p, m)
-    if isinstance(p, RoundingPoint):
-        if coords is None:
-            radius = 0.0
-        else:
-            radius = math.exp(sum(c * x for c, x in zip(coords, p.radial_log)))
-        full = _coordinates(_gp_matrix(p.monoid), m)
-        turn = _normalize_angle(_combine(full, p.angle))
-        return radius, cmath.exp(2j * math.pi * float(turn))
-    if coords is None:
+    coords = _coordinates(p.support_face.monoid, m)
+    polar = isinstance(p, RoundingPoint)
+    if coords is None and not polar:
         return 0j
-    radius = math.exp(sum(c * x for c, x in zip(coords, p.radial_log)))
-    turn = _normalize_angle(_combine(coords, p.angle))
-    return radius * cmath.exp(2j * math.pi * float(turn))
+    radius = 0.0 if coords is None else math.exp(
+        sum(c * x for c, x in zip(coords, p.radial_log))
+    )
+    # A complex point's character is read on the face group, at ``coords``.
+    turn = _angle(p, m) if polar else _combine(coords, p.angle)
+    unit = cmath.exp(2j * math.pi * float(_normalize_angle(turn)))
+    return (radius, unit) if polar else radius * unit
 
 
 def tau(p: RoundingPoint) -> ComplexPoint:
@@ -315,10 +310,8 @@ def tau(p: RoundingPoint) -> ComplexPoint:
     The radial data is kept and the character is restricted to the group of
     the support face; all angular data transverse to the face is forgotten.
     """
-    bmat = _gp_matrix(p.monoid)
     restricted = tuple(
-        _normalize_angle(_combine(_coordinates(bmat, b), p.angle))
-        for b in gp(p.support_face.monoid)
+        _normalize_angle(_angle(p, b)) for b in gp(p.support_face.monoid)
     )
     return ComplexPoint(p.monoid, p.support_face, p.radial_log, restricted)
 

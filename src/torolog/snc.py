@@ -23,13 +23,17 @@ __all__ = [
 ]
 
 
+@record
 class DualComplex:
     """The intersection combinatorics of a normal crossing divisor."""
 
-    __slots__ = ("ambient_dim", "vertex_count", "simplices", "multiplicities")
+    ambient_dim: int
+    vertex_count: int
+    simplices: tuple
+    multiplicities: tuple
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         ambient_dim: int,
         vertex_count: int,
         simplices,
@@ -57,28 +61,20 @@ class DualComplex:
                 )
             cleaned.append(s)
 
+        # Every proper face of a simplex, then every singleton: a complete
+        # complex adds the missing ones, a strict one rejects the first.
         present = set(cleaned)
-        if complete:
-            for s in list(present):
-                for sub in _proper_subsets(s):
-                    if sub not in present:
-                        present.add(sub)
-                        cleaned.append(sub)
-            for v in range(vertex_count):
-                if (v,) not in present:
-                    present.add((v,))
-                    cleaned.append((v,))
-        else:
-            for s in present:
-                for sub in _proper_subsets(s):
-                    if sub not in present:
-                        raise ValueError(
-                            f"simplex {s} is present but its face {sub} is "
-                            "missing"
-                        )
-            for v in range(vertex_count):
-                if (v,) not in present:
-                    raise ValueError(f"vertex {v} has no singleton simplex")
+        needed = [(s, sub) for s in present for sub in _proper_subsets(s)]
+        for s, sub in needed + [(None, (v,)) for v in range(vertex_count)]:
+            if sub in present:
+                continue
+            if not complete:
+                raise ValueError(
+                    f"simplex {s} is present but its face {sub} is missing"
+                    if s else f"vertex {sub[0]} has no singleton simplex"
+                )
+            present.add(sub)
+            cleaned.append(sub)
 
         if multiplicities is not None:
             multiplicities = tuple(int(m) for m in multiplicities)
@@ -87,29 +83,9 @@ class DualComplex:
             if any(m < 1 for m in multiplicities):
                 raise ValueError("multiplicities must be positive")
 
-        self.ambient_dim = ambient_dim
-        self.vertex_count = vertex_count
-        self.simplices = tuple(sorted(cleaned, key=lambda s: (len(s), s)))
-        self.multiplicities = multiplicities
-
-    def __eq__(self, other):
-        if not isinstance(other, DualComplex):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.vertex_count == other.vertex_count
-            and self.simplices == other.simplices
-            and self.multiplicities == other.multiplicities
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.ambient_dim,
-                self.vertex_count,
-                self.simplices,
-                self.multiplicities,
-            )
+        simplices = tuple(sorted(cleaned, key=lambda s: (len(s), s)))
+        return tuple.__new__(
+            cls, (ambient_dim, vertex_count, simplices, multiplicities)
         )
 
     def __repr__(self):

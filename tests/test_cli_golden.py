@@ -127,6 +127,11 @@ PAYLOADS = [
     ("morphism", "check", {"nu": [["1"]], "source": LINE_ATLAS,
                            "target": LINE_ATLAS,
                            "point": dict(_point_request(0), source_chart=9)}),
+    # A complex point pushed through the doubling map of the line.
+    ("morphism", "check", {"nu": [["2"]], "source": LINE_ATLAS,
+                           "target": LINE_ATLAS,
+                           "point": dict(_point_request(LINE_CHART),
+                                         kind="complex", angle=["1/3"])}),
     # The image of the line's ray lies on the x-axis, a face of two
     # quadrants and itself no maximal cone.
     ("morphism", "check", {"nu": [["1"], ["0"]], "source": LINE_ATLAS,

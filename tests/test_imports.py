@@ -48,12 +48,20 @@ def test_the_bench_tracer_installs_and_uninstalls_after_the_import():
         tracer.install()
         assert torolog.lattice.hnf is not hnf
         torolog.hnf(((2, 4), (6, 8)))
+        calls = tracer.metrics()["lattice.hnf.calls"]
+        # The traced classes are traced through ``__init__``, so each has
+        # to stay a class that has one; a record type would not.
+        cone = torolog.RationalCone(2, ((1, 0), (0, 1)))
+        torolog.ToricMonoid(2, ((1, 0), (0, 1)))
+        torolog.Fan(2, [cone])
         tracer.uninstall()
         assert torolog.lattice.hnf is hnf
         assert torolog.RationalCone.__init__ is init
         assert all(
             vars(m)[k] is v for m, b in zip(modules, before) for k, v in b.items()
         )
-        print(tracer.metrics()["lattice.hnf.calls"])
+        metrics = tracer.metrics()
+        print(calls, metrics["monoids.ToricMonoid.calls"],
+              metrics["cones.RationalCone.calls"])
     """))
-    assert out == "1\n"
+    assert out == "1 1 1\n"

@@ -1,9 +1,11 @@
 """The value types are records: immutable named tuples of their fields.
 
-Each record prints as ``Name(field=value, ...)``, hashes as the tuple of its
-fields and equals only records of its own class.  These tests build one
-value of each record type and check those rules, immutability, copying and
-pickling, and the input checks of the types that have them.
+Each record prints as ``Name(field=value, ...)`` (``Fan``, ``FanOfMonoids``
+and ``DualComplex`` keep their positional ``Name(value, ...)``), hashes as
+the tuple of its fields and equals only records of its own class.  These
+tests build one value of each record type and check those rules,
+immutability, copying and pickling, and the input checks of the types that
+have them.
 """
 
 import copy
@@ -13,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 from torolog.fans import (
+    Fan,
+    FanOfMonoids,
     ValidationFailure,
     ValidationReport,
     affine_atlas,
@@ -106,12 +110,21 @@ VALUES = [
     (ToricMorphismData([[1]], ATLAS, ATLAS),
      f"ToricMorphismData(nu=((1,),), source={ATLAS_REPR}, "
      f"target={ATLAS_REPR}, nu_dual=((1,),))"),
+    (ATLAS.fan(),
+     "Fan(1, (RationalCone(1, rays=[], lineality=[]), "
+     "RationalCone(1, rays=[(1,)], lineality=[])))"),
+    (ATLAS, ATLAS_REPR),
+    # Completed, with a repeated edge: a copy or a pickle rebuilds it
+    # through the strict check, which has to accept it unchanged.
+    (DualComplex(2, 2, [(1, 0), (0, 1)], multiplicities=[2, 4], complete=True),
+     "DualComplex(2, 2, ((0,), (1,), (0, 1), (0, 1)), "
+     "multiplicities=(2, 4))"),
 ]
 IDS = [type(x).__name__ for x, _ in VALUES]
 
 
 def test_there_is_one_value_of_each_record_type():
-    assert len(set(IDS)) == 16
+    assert len(set(IDS)) == 19
 
 
 @pytest.mark.parametrize("x, text", VALUES, ids=IDS)

@@ -34,6 +34,18 @@ def test_missing_subset_is_rejected():
         DualComplex(3, 3, ((0,), (1,), (2,), (0, 1, 2)))
 
 
+def test_a_strict_complex_names_its_first_missing_face_or_singleton():
+    # Faces (1,), (3,), (1, 2), ... and the singleton of vertex 4 are all
+    # missing; the faces are checked before the singletons.
+    with pytest.raises(
+        ValueError,
+        match=r"^simplex \(0, 1\) is present but its face \(1,\) is missing$",
+    ):
+        DualComplex(4, 5, ((0,), (2,), (1, 2, 3), (0, 1)))
+    with pytest.raises(ValueError, match=r"^vertex 2 has no singleton simplex$"):
+        DualComplex(2, 3, ((0,), (1,)))
+
+
 def test_oversized_simplex_is_rejected():
     with pytest.raises(ValueError):
         DualComplex(1, 2, ((0,), (1,), (0, 1)))
