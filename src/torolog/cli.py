@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .cones import RationalCone, dim, dual_cone
+from .cones import RationalCone, _checked, dim, dual_cone
 from .cones import faces as cone_faces
 from .fans import (
     Fan,
@@ -30,7 +30,7 @@ from .fans import (
     validate_fan,
     validate_fan_of_monoids,
 )
-from .lattice import memo
+from .lattice import memo, primitive
 from .monoids import (
     ToricMonoid,
     _face_with_indices,
@@ -117,12 +117,39 @@ def _matrix_out(rows):
     return [[str(x) for x in row] for row in rows]
 
 
-def cone_from_json(obj):
+def _cone_parts(obj):
+    """The rank and generators of a payload cone, checked as ``RationalCone``
+    checks them, without building the cone."""
     rank = _as_int(_field(obj, "ambient_rank", "cone"), "cone ambient_rank")
     rays = _as_matrix(_field(obj, "rays", "cone"), "cone rays")
     lineality = _as_matrix(obj.get("lineality", ()), "cone lineality")
     flipped = tuple(tuple(-x for x in v) for v in lineality)
-    return RationalCone(rank, rays + lineality + flipped)
+    return rank, _checked(rank, rays + lineality + flipped)
+
+
+def _cones(parts):
+    """The cones of checked ``(rank, generators)`` pairs, in their order.
+    Built by descending generator count, a cone whose primitive generators
+    are the generating vectors of a face of a cone built before it is read
+    from that cone's face lattice; any other takes a pass."""
+    keys = [(d, frozenset(primitive(v) for v in gens if any(v)))
+            for d, gens in parts]
+    known, unwalked = {}, []
+    for i in sorted(range(len(parts)), key=lambda i: -len(keys[i][1])):
+        d, gens = key = keys[i]
+        while key not in known:
+            parent = next(
+                (p for p in unwalked if p[0] == d and gens <= p[1]), None)
+            if parent is None:
+                c = RationalCone(*parts[i])
+                vectors = frozenset(c.generating_vectors())
+                known[key] = known[d, vectors] = c
+                unwalked.append((d, vectors, c))
+            else:
+                unwalked.remove(parent)
+                for f in cone_faces(parent[2]):
+                    known.setdefault((d, frozenset(f.generating_vectors())), f)
+    return tuple(known[k] for k in keys)
 
 
 def cone_to_json(c):
@@ -150,11 +177,8 @@ def monoid_to_json(g):
 
 def fan_from_json(obj):
     rank = _as_int(_field(obj, "ambient_rank", "fan"), "fan ambient_rank")
-    cones = tuple(
-        cone_from_json(c)
-        for c in _as_array(_field(obj, "cones", "fan"), "fan cones")
-    )
-    return Fan(rank, cones)
+    cones = _as_array(_field(obj, "cones", "fan"), "fan cones")
+    return Fan(rank, _cones([_cone_parts(c) for c in cones]))
 
 
 def fanmon_from_json(obj):
@@ -162,11 +186,12 @@ def fanmon_from_json(obj):
     entries = _as_array(
         _field(obj, "entries", "fan of monoids"), "fan of monoids entries"
     )
-    return FanOfMonoids(rank, tuple(
-        (cone_from_json(_field(e, "cone", "fan entry")),
-         monoid_from_json(_field(e, "monoid", "fan entry")))
-        for e in entries
-    ))
+    # Each entry's cone is checked before its monoid, as if built in turn.
+    parts, monoids = [], []
+    for e in entries:
+        parts.append(_cone_parts(_field(e, "cone", "fan entry")))
+        monoids.append(monoid_from_json(_field(e, "monoid", "fan entry")))
+    return FanOfMonoids(rank, tuple(zip(_cones(parts), monoids)))
 
 
 def fanmon_to_json(fm):
@@ -342,7 +367,7 @@ _FIBER_COLUMNS = (("fiber rank", "fiber_rank", str),
 
 def _cmd_cone_dual(payload, args):
     """the dual cone"""
-    d = dual_cone(cone_from_json(payload))
+    d = dual_cone(RationalCone(*_cone_parts(payload)))
     obj = cone_to_json(d)
     fields = (
         ("ambient_rank", d.ambient_rank),
@@ -355,7 +380,7 @@ def _cmd_cone_dual(payload, args):
 
 def _cmd_cone_faces(payload, args):
     """face lattice with dims and subface relations"""
-    fs = cone_faces(cone_from_json(payload))
+    fs = cone_faces(RationalCone(*_cone_parts(payload)))
     # Faces of one cone: one lies in another exactly when its rays do.
     rays = [set(f.rays) for f in fs]
     rows = [

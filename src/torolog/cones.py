@@ -15,9 +15,11 @@ every cone is built with a spanning set of its dual.  Construction gets it
 from one pass over the generators; the dual of a cone gets the cone's own
 generators; a face gets its parent's dual and the negated facet normals
 tight on it; an intersection gets both duals.  Duals, faces and duals of
-duals therefore cost no pass, and intersection costs one.  All arithmetic is
-in integers.  Canonical forms, duals, dimensions and face lattices are
-memoized by value.
+duals therefore cost no pass, and intersection costs one.  The fan readers
+of the command line take each listed face of a listed cone from that cone's
+face lattice, so a listed atlas costs one pass.  All arithmetic is in
+integers.  Canonical forms, duals, dimensions and face lattices are memoized
+by value.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from torolog.lattice import (
     lattice_rank,
     mat_identity,
     memo,
+    pairing,
     primitive,
 )
 
@@ -41,10 +44,6 @@ __all__ = [
     "is_face_of",
     "is_sharp",
 ]
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _neg(v):
@@ -72,23 +71,23 @@ def _dual_description(d, constraints):
         if not any(g):
             continue
         idx = processed
-        pos = next((k for k, v in enumerate(lin) if _dot(g, v)), None)
+        pos = next((k for k, v in enumerate(lin) if pairing(g, v)), None)
         if pos is not None:
             v0 = lin.pop(pos)
-            if _dot(g, v0) < 0:
+            if pairing(g, v0) < 0:
                 v0 = _neg(v0)
-            a = _dot(g, v0)
+            a = pairing(g, v0)
             lin = [
                 w
-                if not _dot(g, w)
+                if not pairing(g, w)
                 else primitive(
-                    tuple(a * wi - _dot(g, w) * vi for wi, vi in zip(w, v0))
+                    tuple(a * wi - pairing(g, w) * vi for wi, vi in zip(w, v0))
                 )
                 for w in lin
             ]
             new_rays = []
             for r, tight in rays:
-                c = _dot(g, r)
+                c = pairing(g, r)
                 if c == 0:
                     new_rays.append((r, tight | {idx}))
                 else:
@@ -100,9 +99,9 @@ def _dual_description(d, constraints):
             new_rays.append((v0, frozenset(range(idx))))
             rays = new_rays
         else:
-            plus = [(r, t) for r, t in rays if _dot(g, r) > 0]
-            zero = [(r, t | {idx}) for r, t in rays if _dot(g, r) == 0]
-            minus = [(r, t) for r, t in rays if _dot(g, r) < 0]
+            plus = [(r, t) for r, t in rays if pairing(g, r) > 0]
+            zero = [(r, t | {idx}) for r, t in rays if pairing(g, r) == 0]
+            minus = [(r, t) for r, t in rays if pairing(g, r) < 0]
             combos = []
             for p, tp in plus:
                 for n, tn in minus:
@@ -112,7 +111,7 @@ def _dual_description(d, constraints):
                     )
                     if adjacent:
                         w = tuple(
-                            _dot(g, p) * ni - _dot(g, n) * pi
+                            pairing(g, p) * ni - pairing(g, n) * pi
                             for pi, ni in zip(p, n)
                         )
                         combos.append((primitive(w), common | {idx}))
@@ -137,7 +136,7 @@ def _normal_form(d, gens, dual):
     else:
         lineality = mat_identity(d)
     tight = [
-        frozenset(i for i, f in enumerate(dual) if not _dot(f, g)) for g in gens
+        frozenset(i for i, f in enumerate(dual) if not pairing(f, g)) for g in gens
     ]
     proper = {t for t in tight if len(t) < len(dual)}
     rays = set()
@@ -171,15 +170,20 @@ def _canonical_form(d, generators):
     """The normal form ``(rays, lineality)`` of the cone in Z^d spanned by a
     tuple of integer vectors, and vectors spanning its dual, from one double
     description pass."""
-    gens = []
-    for v in generators:
-        if len(v) != d:
-            raise ValueError("generator length does not match the ambient rank")
-        if any(v):
-            gens.append(primitive(v))
+    gens = [primitive(v) for v in generators if any(v)]
     dlin, drays = _dual_description(d, gens)
     dual = tuple(drays + dlin + [_neg(l) for l in dlin])
     return _normal_form(d, gens, dual), dual
+
+
+def _checked(d, generators):
+    """``generators`` as integer tuples, checked as those of a cone in Z^d."""
+    if d < 0:
+        raise ValueError(f"ambient rank {d} is negative")
+    gens = tuple(tuple(int(x) for x in v) for v in generators)
+    if any(len(v) != d for v in gens):
+        raise ValueError("generator length does not match the ambient rank")
+    return gens
 
 
 class RationalCone:
@@ -197,11 +201,9 @@ class RationalCone:
 
     def __init__(self, ambient_rank, generators=()):
         self.ambient_rank = int(ambient_rank)
-        if self.ambient_rank < 0:
-            raise ValueError(f"ambient rank {self.ambient_rank} is negative")
+        generators = _checked(self.ambient_rank, generators)
         (self.rays, self.lineality), dual = _canonical_form(
-            self.ambient_rank,
-            tuple(tuple(int(x) for x in v) for v in generators),
+            self.ambient_rank, generators
         )
         self._dual_span = (dual,)
 
@@ -242,20 +244,19 @@ def contains(c: RationalCone, v) -> bool:
     if len(v) != c.ambient_rank:
         raise ValueError("vector length does not match the ambient rank")
     d = dual_cone(c)
-    return all(_dot(f, v) >= 0 for f in d.rays) and all(
-        _dot(l, v) == 0 for l in d.lineality
+    return all(pairing(f, v) >= 0 for f in d.rays) and all(
+        pairing(l, v) == 0 for l in d.lineality
     )
 
 
 @memo
 def dim(c: RationalCone) -> int:
-    """Dimension of the linear span of the cone."""
-    gens = c.rays + c.lineality
-    if not gens:
-        return 0
-    return lattice_rank(
-        tuple(tuple(g[i] for g in gens) for i in range(c.ambient_rank))
-    )
+    """Dimension of the linear span of the cone.  Modulo the lineality the
+    cone is pointed with extreme rays, and a pointed cone of dimension k < 3
+    has k extreme rays, so up to 3 rays add one dimension each."""
+    if len(c.rays) <= 3:
+        return len(c.lineality) + len(c.rays)
+    return lattice_rank(c.rays + c.lineality)
 
 
 def is_sharp(c: RationalCone) -> bool:
@@ -279,7 +280,7 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     shared = dual.generating_vectors()
     # The rays each facet normal vanishes on.
     zeros = [
-        frozenset(i for i, r in enumerate(c.rays) if not _dot(f, r))
+        frozenset(i for i, r in enumerate(c.rays) if not pairing(f, r))
         for f in dual.rays
     ]
     start = frozenset(range(len(c.rays)))
@@ -294,11 +295,8 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
                 queue.append(child)
     negated = [_neg(f) for f in dual.rays]
     # Each face's dimension, without a rank computation where the walk knows
-    # it.  A facet normal's zero set is the ray set of a facet, one dimension
-    # below the cone.  Modulo the lineality a face is pointed and its rays
-    # are extreme, and a pointed cone of dimension at most 2 has at most 2
-    # extreme rays, so a face with up to three rays has that many dimensions
-    # above the lineality.
+    # it: a facet normal's zero set is the ray set of a facet, one dimension
+    # below the cone, and a face with up to three rays is keyed as in `dim`.
     ell, top = len(c.lineality), dim(c)
     facets = set(zeros)
     keyed = []

@@ -161,14 +161,14 @@ def _cover(cones: tuple):
     map from each face of one of them to the positions there of the maximal
     cones it is a face of; every cone of the tuple is a key.
 
-    A proper face has a smaller dimension, and a face of a face is a face.
-    So, scanning by dimension downwards, a cone is maximal unless it is a
-    face of a maximal cone found before it, and only the face lattices of
-    the maximal cones are read.  The faces of a key are the faces of any
+    A proper face has fewer rays, and a face of a face is a face.  So,
+    scanning by ray count downwards, a cone is maximal unless it is a face
+    of a maximal cone found before it, and only the face lattices of the
+    maximal cones are read.  The faces of a key are the faces of any
     maximal cone above it on its rays, in the same order.
     """
     below, lattices = set(), {}
-    for c in sorted(cones, key=dim, reverse=True):
+    for c in sorted(cones, key=lambda c: len(c.rays), reverse=True):
         if c not in below:
             below.update(lattices.setdefault(c, cone_faces(c)))
     top = tuple(c for c in cones if c in lattices)

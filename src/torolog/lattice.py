@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from operator import mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -388,7 +389,7 @@ def pairing(w: IntVec, m: IntVec) -> int:
     """The perfect pairing between a lattice and its dual: the dot product."""
     if len(w) != len(m):
         raise ValueError("paired vectors must have the same length")
-    return sum(a * b for a, b in zip(w, m))
+    return sum(map(mul, w, m))
 
 
 def primitive(v: IntVec) -> IntVec:

@@ -300,12 +300,15 @@ def faces(g: ToricMonoid) -> tuple:
     """
     cone = exponent_cone(g)
     normals = dual_cone(cone).rays
+    # The facet normals vanishing on each ray and on each generator.
+    zeros = {v: frozenset(i for i, n in enumerate(normals) if not pairing(n, v))
+             for v in cone.rays + g.generators}
+    every = frozenset(range(len(normals)))
     out = []
     for f in cone_faces(cone):
         # v lies on f iff every facet normal vanishing on f vanishes on v.
-        tight = [n for n in normals if not any(pairing(n, r) for r in f.rays)]
-        idx = tuple(i for i, v in enumerate(g.generators)
-                    if not any(pairing(n, v) for n in tight))
+        tight = every.intersection(*(zeros[r] for r in f.rays))
+        idx = tuple(i for i, v in enumerate(g.generators) if tight <= zeros[v])
         out.append(
             MonoidFace(
                 ToricMonoid(g.ambient_rank, tuple(g.generators[i] for i in idx)),

@@ -81,7 +81,8 @@ def _normalize_angle(a):
     value = float(a)
     if not math.isfinite(value):
         raise ValueError("angles must be finite")
-    return value % 1.0
+    # A float just below a whole number reduces to 1.0 once; twice, to 0.0.
+    return value % 1.0 % 1.0
 
 
 def _interpret_unit(u):
@@ -90,7 +91,7 @@ def _interpret_unit(u):
     if isinstance(u, complex):
         if abs(abs(u) - 1.0) > _RELATIVE_TOLERANCE:
             raise ValueError(f"{u!r} does not lie on the unit circle")
-        return (math.atan2(u.imag, u.real) / math.tau) % 1.0
+        u = math.atan2(u.imag, u.real) / math.tau
     return _normalize_angle(u)
 
 

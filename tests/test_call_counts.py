@@ -4,12 +4,13 @@ The counts are deterministic: every check clears the memos first and counts
 calls through a wrapper, so no timer is involved.
 """
 
+import itertools
 import json
 import sys
 
 from test_memo import clear_memos
 from torolog import cones, fans, lattice, monoids, morphisms
-from torolog.cli import fanmon_to_json, main
+from torolog.cli import fan_from_json, fanmon_from_json, fanmon_to_json, main
 from torolog.cones import RationalCone
 from torolog.fans import (
     Fan,
@@ -159,12 +160,52 @@ def test_validating_the_130_chart_parabola_atlas_costs_no_pass_or_search(
         assert report.failures == ()
 
 
+def test_reading_the_130_chart_parabola_atlas_makes_one_pass(monkeypatch):
+    # Every cone of the atlas is a face of the one maximal cone, read from
+    # its face lattice.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    payload = json.loads(json.dumps(fanmon_to_json(affine_atlas(parabola))))
+    calls, atlas = count_calls(
+        monkeypatch, cones, "_dual_description",
+        lambda: fanmon_from_json(payload),
+    )
+    assert (calls, len(atlas.entries)) == (1, 130)
+
+
+def test_reading_only_maximal_cones_walks_no_face_lattice(monkeypatch):
+    # The eight octants: each takes its pass, and no cone's generators lie
+    # among another's, so no face lattice is walked.  Listed with all their
+    # faces, the octants are still built once each, and the faces are read
+    # from the face lattices of seven octants: every face of the last one
+    # lies on another octant too.
+    octants = [
+        RationalCone(3, [tuple(s * x for x in row)
+                         for s, row in zip(signs, mat_identity(3))])
+        for signs in itertools.product((1, -1), repeat=3)
+    ]
+    for listed, walks in ((octants, 0), (Fan(3, [
+        f for c in octants for f in cones.faces(c)
+    ]).cones, 7)):
+        payload = {"ambient_rank": 3, "cones": [
+            {"ambient_rank": 3, "rays": [list(r) for r in c.rays]}
+            for c in listed
+        ]}
+        calls, fan = count_calls(
+            monkeypatch, cones, "_dual_description",
+            lambda: fan_from_json(payload),
+        )
+        assert (calls, len(fan.cones)) == (8, len(listed))
+        assert cones.faces.cache_info().misses == walks
+
+
 def test_an_atlas_and_its_rounding_find_each_face_and_ghost_once(
     monkeypatch,
 ):
     # The atlas, its validation, its rounding report and the ghost and fiber
     # of each face all ask for the same 14 face correspondences, ghosts and
-    # cone dimensions, so each is computed once, not once per caller.
+    # cone dimensions, so each is computed once, not once per caller.  Only
+    # the two cones with more than three rays, the hexagon's exponent and
+    # weight cones, take a rank for their dimension.
     def pipeline():
         atlas = affine_atlas(HEXAGON)
         report = validate_fan_of_monoids(atlas)
@@ -174,11 +215,12 @@ def test_an_atlas_and_its_rounding_find_each_face_and_ghost_once(
             fiber_structure(HEXAGON, f)
         return report, rows
 
-    for module, name in (
-        (fans, "_perp_face_indices"), (lattice, "snf"), (lattice, "lattice_rank"),
+    for module, name, expected in (
+        (fans, "_perp_face_indices", 14), (lattice, "snf", 14),
+        (lattice, "lattice_rank", 2),
     ):
         calls, (report, rows) = count_calls(monkeypatch, module, name, pipeline)
-        assert calls == 14, name
+        assert calls == expected, name
         assert report.failures == () and len(rows) == 14
 
 
@@ -225,7 +267,8 @@ def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
     # 129 cones and 8,256 pairs inside the one maximal cone.  The pairs are
     # looked up by position in the fan's cover, and each meet's presence in
     # the fan is read from the maximal cone's face lattice, so no pair
-    # hashes a cone.
+    # hashes a cone.  The cover orders the cones by ray count, which needs
+    # no memoized dimension.
     parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
     entries = fanmon_to_json(affine_atlas(parabola))["entries"]
     ray = next(e["cone"] for e in entries if len(e["cone"]["rays"]) == 1)
@@ -247,7 +290,7 @@ def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
         code = main(["fan", "check", "--input", str(path)])
     assert code == 1
     assert capsys.readouterr().out.count("\nmissing-face:") == 3
-    assert len(calls) == 1558
+    assert len(calls) == 1430
 
 
 def test_a_hexagon_atlas_with_its_minimal_chart_doubled_rechecks_one_chart(

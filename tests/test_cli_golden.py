@@ -164,6 +164,17 @@ PAYLOADS = [
     ("fan", "check", {"ambient_rank": 2, "cones": 5}),
     ("fanmon", "check", {"rank": 2, "entries": 5}),
     ("cone", "dual", {"ambient_rank": -1, "rays": []}),
+    # Several faults: the first in payload order is the one reported.
+    ("fan", "check", {"ambient_rank": 2, "cones": [
+        FULL_FAN_JSON["cones"][0],
+        {"ambient_rank": 2, "rays": [[1, 0, 0]]},
+        {"ambient_rank": "two", "rays": []},
+    ]}),
+    ("fanmon", "check", {"rank": 2, "entries": [
+        {"cone": {"ambient_rank": 2, "rays": [[1]]}, "monoid": NN2_JSON},
+        {"cone": FULL_FAN_JSON["cones"][0],
+         "monoid": {"ambient_rank": 2, "generators": [["x", 0]]}},
+    ]}),
 ]
 
 # Runs with flags beyond --json, as (argv, payload).

@@ -29,7 +29,7 @@ from torolog.cones import (
     is_face_of,
     is_sharp,
 )
-from torolog.lattice import hnf_basis, kernel_basis, primitive
+from torolog.lattice import hnf_basis, kernel_basis, lattice_rank, primitive
 
 QUADRANT = RationalCone(2, ((1, 0), (0, 1)))
 UPPER_HALF_PLANE = RationalCone(2, ((1, 0), (-1, 0), (0, 1)))
@@ -209,6 +209,28 @@ def test_dim():
     assert dim(VERTICAL_RAY) == 1
     assert dim(X_AXIS_LINE) == 1
     assert dim(FULL_PLANE) == 2
+
+
+def test_dim_matches_the_rank_of_rays_and_lineality():
+    # The rank of the rays and lineality basis, which ``dim`` computes only
+    # for cones with more than three rays, is the oracle.
+    rng = random.Random(17)
+    small = {False: 0, True: 0}
+    for _ in range(400):
+        rank = rng.randint(1, 5)
+        c = random_cone(rng, rank)
+        if rng.random() < 0.3:
+            c = RationalCone(rank, c.generating_vectors() + tuple(
+                tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)
+            ) + ((0,) * (rank - 1) + (1,), (0,) * (rank - 1) + (-1,)))
+        gens = c.rays + c.lineality
+        expected = lattice_rank(
+            tuple(tuple(g[i] for g in gens) for i in range(rank))
+        ) if gens else 0
+        assert dim(c) == expected
+        if len(c.rays) <= 3:
+            small[bool(c.lineality)] += 1
+    assert min(small.values()) >= 50
 
 
 def test_intersect_nested_cones():

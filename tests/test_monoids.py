@@ -383,6 +383,32 @@ def test_face_count_matches_cone_face_count():
         assert len(faces(g)) == len(cone_faces(exponent_cone(g)))
 
 
+def test_faces_match_the_pairing_of_each_face_with_every_normal():
+    # The oracle pairs each face's rays, then each generator, with every
+    # facet normal, where ``faces`` pairs each ray and generator once.
+    rng = random.Random(16)
+    with_units = 0
+    for _ in range(300):
+        g = random_monoid(rng, rng.randint(1, 4))
+        cone = exponent_cone(g)
+        normals = weight_cone(g).rays
+        with_units += bool(cone.lineality)
+        expected = []
+        for f in cone_faces(cone):
+            tight = [n for n in normals
+                     if not any(pairing(n, r) for r in f.rays)]
+            expected.append(tuple(
+                i for i, v in enumerate(g.generators)
+                if not any(pairing(n, v) for n in tight)
+            ))
+        assert [f.generator_indices for f in faces(g)] == expected
+        assert all(
+            f.monoid.generators == tuple(g.generators[i] for i in idx)
+            for f, idx in zip(faces(g), expected)
+        )
+    assert with_units >= 50
+
+
 def test_weight_cone_faces_biject_with_monoid_faces_reversing_order():
     rng = random.Random(15)
     for _ in range(15):

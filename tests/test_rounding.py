@@ -29,6 +29,7 @@ from torolog.rounding import (
     FiberReport,
     LogPointKind,
     RoundingPoint,
+    _interpret_unit,
     _solving_combinations,
     associated_log_stalk,
     base_point,
@@ -57,6 +58,15 @@ def xface(g, indices):
         if f.generator_indices == indices:
             return f
     raise AssertionError(f"no face with indices {indices}")
+
+
+def test_a_float_angle_just_below_a_whole_turn_reduces_into_the_unit_interval():
+    # -1e-20 % 1.0 is 1.0, so a float angle needs a second reduction.
+    full = faces(NN)[-1]
+    for point in (RoundingPoint, ComplexPoint):
+        assert point(NN, full, [0.0], [-1e-20]).angle == (0.0,)
+    assert _interpret_unit(complex(1.0, -1e-20)) == 0.0
+    assert _interpret_unit(-0.25) == 0.75
 
 
 # ---------------------------------------------------------------------------
