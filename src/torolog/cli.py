@@ -127,11 +127,12 @@ def _cone_parts(obj):
     return rank, _checked(rank, rays + lineality + flipped)
 
 
+@memo
 def _cones(parts):
-    """The cones of checked ``(rank, generators)`` pairs, in their order.
-    Built by descending generator count, a cone whose primitive generators
-    are the generating vectors of a face of a cone built before it is read
-    from that cone's face lattice; any other takes a pass."""
+    """The cones of a tuple of checked ``(rank, generators)`` pairs, in
+    order.  Built by descending generator count, a cone whose primitive
+    generators are the generating vectors of a face of a cone built before
+    it is read from that cone's face lattice; any other takes a pass."""
     keys = [(d, frozenset(primitive(v) for v in gens if any(v)))
             for d, gens in parts]
     known, unwalked = {}, []
@@ -178,7 +179,7 @@ def monoid_to_json(g):
 def fan_from_json(obj):
     rank = _as_int(_field(obj, "ambient_rank", "fan"), "fan ambient_rank")
     cones = _as_array(_field(obj, "cones", "fan"), "fan cones")
-    return Fan(rank, _cones([_cone_parts(c) for c in cones]))
+    return Fan(rank, _cones(tuple(_cone_parts(c) for c in cones)))
 
 
 def fanmon_from_json(obj):
@@ -191,7 +192,7 @@ def fanmon_from_json(obj):
     for e in entries:
         parts.append(_cone_parts(_field(e, "cone", "fan entry")))
         monoids.append(monoid_from_json(_field(e, "monoid", "fan entry")))
-    return FanOfMonoids(rank, tuple(zip(_cones(parts), monoids)))
+    return FanOfMonoids(rank, tuple(zip(_cones(tuple(parts)), monoids)))
 
 
 def fanmon_to_json(fm):

@@ -162,14 +162,17 @@ def test_validating_the_130_chart_parabola_atlas_costs_no_pass_or_search(
 
 def test_reading_the_130_chart_parabola_atlas_makes_one_pass(monkeypatch):
     # Every cone of the atlas is a face of the one maximal cone, read from
-    # its face lattice.
+    # its face lattice.  Read again, the payload's cones are a memo hit and
+    # no face lattice is asked for.
     parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
     payload = json.loads(json.dumps(fanmon_to_json(affine_atlas(parabola))))
     calls, atlas = count_calls(
         monkeypatch, cones, "_dual_description",
-        lambda: fanmon_from_json(payload),
+        lambda: (fanmon_from_json(payload), fanmon_from_json(payload))[1],
     )
     assert (calls, len(atlas.entries)) == (1, 130)
+    walks = cones.faces.cache_info()
+    assert (walks.hits, walks.misses) == (0, 1)
 
 
 def test_reading_only_maximal_cones_walks_no_face_lattice(monkeypatch):

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import random_monoid
-from torolog import cones, fans, lattice, monoids
+from torolog import cli, cones, fans, lattice, monoids
 from torolog.cones import RationalCone
 from torolog.fans import affine_atlas
 from torolog.lattice import (
@@ -29,7 +29,7 @@ from torolog.rounding import fiber_structure, rounding_report
 
 MEMOS = [
     obj
-    for module in (lattice, cones, monoids, fans)
+    for module in (lattice, cones, monoids, fans, cli)
     for obj in vars(module).values()
     if hasattr(obj, "cache_clear")
 ]

@@ -70,8 +70,8 @@ def assert_as_if_built_one_by_one(cones):
     """The reader's cones, checked against one ``RationalCone`` each, and
     how many of them were read from a face lattice (a face's dual span is
     its parent's dual and the facet normals tight on it)."""
-    parts = [_cone_parts(c) for c in cones]
-    got = _cones(parts)
+    parts = tuple(_cone_parts(c) for c in cones)
+    got = _cones.__wrapped__(parts)
     expected = [RationalCone(*p) for p in parts]
     assert list(got) == expected
     for g, e in zip(got, expected):
