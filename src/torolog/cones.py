@@ -25,6 +25,7 @@ by value.
 from __future__ import annotations
 
 from torolog.lattice import (
+    _integral,
     hnf_basis,
     kernel_basis,
     lattice_rank,
@@ -180,7 +181,7 @@ def _checked(d, generators):
     """``generators`` as integer tuples, checked as those of a cone in Z^d."""
     if d < 0:
         raise ValueError(f"ambient rank {d} is negative")
-    gens = tuple(tuple(int(x) for x in v) for v in generators)
+    gens = tuple(tuple(map(_integral, v)) for v in generators)
     if any(len(v) != d for v in gens):
         raise ValueError("generator length does not match the ambient rank")
     return gens
@@ -200,7 +201,7 @@ class RationalCone:
     __slots__ = ("ambient_rank", "rays", "lineality", "_dual_span")
 
     def __init__(self, ambient_rank, generators=()):
-        self.ambient_rank = int(ambient_rank)
+        self.ambient_rank = _integral(ambient_rank)
         generators = _checked(self.ambient_rank, generators)
         (self.rays, self.lineality), dual = _canonical_form(
             self.ambient_rank, generators

@@ -74,6 +74,15 @@ __all__ = [
 ]
 
 
+def _integral(x) -> int:
+    """``x`` as an int, refusing any value that ``int()`` would change, such
+    as ``1.5``.  A decimal string is read as ``int()`` reads it."""
+    n = int(x)
+    if n != x and not isinstance(x, str):
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def mat_identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 

@@ -9,12 +9,14 @@ demand; what the other computations reuse is memoized by the monoid's value.
 import itertools
 from types import MappingProxyType
 
-from .cones import RationalCone, _dual_description, contains, dim, dual_cone
+from .cones import RationalCone, contains, dim, dual_cone
 from .cones import faces as cone_faces
 from .lattice import (
     AbelianGroupInvariants,
     IntMat,
+    _integral,
     hnf_basis,
+    mat_identity,
     mat_vec,
     memo,
     pairing,
@@ -63,7 +65,7 @@ class ToricMonoid:
             raise ValueError(f"ambient rank {ambient_rank} is negative")
         cleaned = set()
         for v in generators:
-            v = tuple(int(x) for x in v)
+            v = tuple(map(_integral, v))
             if len(v) != ambient_rank:
                 raise ValueError(
                     f"generator {v!r} does not have length {ambient_rank}"
@@ -158,11 +160,15 @@ def _gp_matrix(g: ToricMonoid):
     return tuple(tuple(b[i] for b in basis) for i in range(g.ambient_rank))
 
 
+def _coordinates(g: ToricMonoid, v):
+    """Coordinates of ``v`` on the basis ``gp(g)``, or None off gp(g)."""
+    return solve_integer(_gp_matrix(g), tuple(v))
+
+
 @memo
 def _generator_coordinates(g: ToricMonoid):
     """Coordinates of each generator on the basis ``gp(g)``."""
-    bmat = _gp_matrix(g)
-    return tuple(solve_integer(bmat, v) for v in g.generators)
+    return tuple(_coordinates(g, v) for v in g.generators)
 
 
 @memo
@@ -173,7 +179,11 @@ def _splitting(g: ToricMonoid):
     a functional vanishing exactly on the units among all generators, and
     ``relieve`` is a strictly positive integer vector with
     ``sum(relieve[j] * unit_j) == 0``, used to shift integer coefficients on
-    the unit generators into the nonnegative range.
+    the unit generators into the nonnegative range.  When every unit's
+    negative is a generator, ``relieve`` is all ones, the sum of the pair
+    relations, with no double description pass.  Otherwise it is the sum of
+    the extreme rays of ``{x >= 0 : sum(x_j * unit_j) == 0}``, read from one
+    dual cone.
     """
     cone = exponent_cone(g)
     unit_idx = tuple(
@@ -184,10 +194,7 @@ def _splitting(g: ToricMonoid):
     sharp_idx = tuple(
         i for i in range(len(g.generators)) if i not in set(unit_idx)
     )
-    dual = dual_cone(cone)
-    w = tuple(
-        sum(r[i] for r in dual.rays) for i in range(g.ambient_rank)
-    ) if dual.rays else (0,) * g.ambient_rank
+    w = tuple(map(sum, zip(*dual_cone(cone).rays))) or (0,) * g.ambient_rank
     n = len(unit_idx)
     unit_columns = tuple(
         tuple(g.generators[j][i] for j in unit_idx)
@@ -201,15 +208,15 @@ def _splitting(g: ToricMonoid):
         # pairs u, -u, whose relations sum to the all-ones relation.
         relieve = (1,) * n
     else:
-        # Extreme rays of {x >= 0 : sum(x_j * unit_j) == 0}.  Each -unit_j is
-        # a nonnegative combination of units, so every coordinate is positive
-        # on some ray and the sum of the rays is strictly positive.
-        _, rays = _dual_description(
-            n,
-            [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            + list(unit_columns) + [tuple(-x for x in r) for r in unit_columns],
+        # The cone {x >= 0 : sum(x_j * unit_j) == 0} lies in the orthant, so
+        # it is pointed and its dual's rays are all of its extreme rays.  Each
+        # -unit_j is a nonnegative combination of units, so every coordinate
+        # is positive on some ray and the sum of the rays is strictly positive.
+        negated = tuple(tuple(-x for x in r) for r in unit_columns)
+        circuits = dual_cone(
+            RationalCone(n, mat_identity(n) + unit_columns + negated)
         )
-        relieve = tuple(map(sum, zip(*rays)))
+        relieve = tuple(map(sum, zip(*circuits.rays)))
     return unit_idx, sharp_idx, w, unit_columns, relieve
 
 
@@ -220,69 +227,44 @@ def membership(g: ToricMonoid, m) -> "tuple | None":
     summing to ``m`` — or None when ``m`` is not a member.  Compare against
     None; the all-zero witness for ``m = 0`` is a valid return value.
     """
-    m = tuple(int(x) for x in m)
+    m = tuple(map(_integral, m))
     if len(m) != g.ambient_rank:
         raise ValueError(f"point {m!r} does not have length {g.ambient_rank}")
-    n = len(g.generators)
+    witness = [0] * len(g.generators)
     if not any(m):
-        return (0,) * n
-    if not g.generators:
-        return None
-    cone = exponent_cone(g)
-    if not contains(cone, m):
-        return None
-    if solve_integer(_gp_matrix(g), m) is None:
-        return None  # not even in the generated group
+        return tuple(witness)
+    if not contains(exponent_cone(g), m) or _coordinates(g, m) is None:
+        return None  # outside the cone or the generated group
 
     unit_idx, sharp_idx, w, unit_columns, relieve = _splitting(g)
     sharp = [(i, g.generators[i], pairing(w, g.generators[i])) for i in sharp_idx]
-    budget = pairing(w, m)
     failed = set()
 
-    def unit_part(rem):
-        if not unit_idx:
-            return () if not any(rem) else None
-        c = solve_integer(unit_columns, rem)
-        if c is None:
-            return None
-        shift = 0
-        for ci, zi in zip(c, relieve):
-            if ci < 0:
-                shift = max(shift, (-ci + zi - 1) // zi)  # ceil(-ci / zi)
-        return tuple(ci + shift * zi for ci, zi in zip(c, relieve))
-
-    def search(pos, rem, rem_budget):
+    def search(pos, rem, budget):
+        # Writes witness slots on the way down.  The path that succeeds
+        # writes every slot again, so no failed branch needs to reset one.
         if pos == len(sharp):
-            if rem_budget != 0:
-                return None
-            uc = unit_part(rem)
-            if uc is None:
-                return None
-            return {}, uc
-        key = (pos, rem)
-        if key in failed:
-            return None
-        _, vec, wv = sharp[pos]
-        for a in range(rem_budget // wv + 1):
+            if budget or not unit_idx:
+                return not budget and not any(rem)
+            c = solve_integer(unit_columns, rem)
+            if c is None:
+                return False
+            shift = max([0] + [-(ci // z) for ci, z in zip(c, relieve)])
+            for i, ci, z in zip(unit_idx, c, relieve):
+                witness[i] = ci + shift * z
+            return True
+        if (pos, rem) in failed:
+            return False
+        i, vec, wv = sharp[pos]
+        for a in range(budget // wv + 1):
+            witness[i] = a
             nxt = tuple(r - a * x for r, x in zip(rem, vec))
-            found = search(pos + 1, nxt, rem_budget - a * wv)
-            if found is not None:
-                coeffs, uc = found
-                coeffs[sharp[pos][0]] = a
-                return coeffs, uc
-        failed.add(key)
-        return None
+            if search(pos + 1, nxt, budget - a * wv):
+                return True
+        failed.add((pos, rem))
+        return False
 
-    found = search(0, m, budget)
-    if found is None:
-        return None
-    sharp_coeffs, unit_coeffs = found
-    witness = [0] * n
-    for i, a in sharp_coeffs.items():
-        witness[i] = a
-    for i, a in zip(unit_idx, unit_coeffs):
-        witness[i] = a
-    return tuple(witness)
+    return tuple(witness) if search(0, m, pairing(w, m)) else None
 
 
 def edge(g: ToricMonoid) -> MonoidFace:
@@ -351,10 +333,10 @@ def prime_ideals(g: ToricMonoid) -> tuple:
 def saturation_membership(g: ToricMonoid, m) -> bool:
     """Whether ``m`` lies in the saturation: in the generated group and in
     the exponent cone."""
-    m = tuple(int(x) for x in m)
+    m = tuple(map(_integral, m))
     if len(m) != g.ambient_rank:
         raise ValueError(f"point {m!r} does not have length {g.ambient_rank}")
-    if solve_integer(_gp_matrix(g), m) is None:
+    if _coordinates(g, m) is None:
         return False
     return contains(exponent_cone(g), m)
 

@@ -21,18 +21,13 @@ from .fans import (
 from .lattice import mat_identity, mat_vec, record, transpose
 from .monoids import (
     ToricMonoid,
+    _coordinates,
     _face_with_indices,
     gp,
     membership,
     saturate,
 )
-from .rounding import (
-    ComplexPoint,
-    RoundingPoint,
-    _angle,
-    _combine,
-    _coordinates,
-)
+from .rounding import ComplexPoint, RoundingPoint, _angle, _combine
 
 __all__ = [
     "ToricMorphismData",

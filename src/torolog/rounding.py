@@ -22,19 +22,20 @@ from numbers import Rational
 from .fans import FanOfMonoids, strata
 from .lattice import (
     AbelianGroupInvariants,
+    hnf,
     mat_identity,
     quotient_invariants,
     record,
-    solve_integer,
+    transpose,
 )
 from .monoids import (
     FiberReport,
     GhostReport,
     MonoidFace,
     ToricMonoid,
+    _coordinates,
     _face_with_indices,
     _generator_coordinates,
-    _gp_matrix,
     _require_face,
     faces,
     ghost,
@@ -108,11 +109,6 @@ def _interpret_radius(r):
     return value
 
 
-def _coordinates(g: ToricMonoid, v):
-    """Coordinates of ``v`` on the basis ``gp(g)``, or None off gp(g)."""
-    return solve_integer(_gp_matrix(g), tuple(v))
-
-
 def _solving_combinations(rows, k):
     """For rows spanning Z^k, integer combinations hitting each basis vector.
 
@@ -120,12 +116,14 @@ def _solving_combinations(rows, k):
     coefficient-weighted sum of the rows is the j-th standard basis vector.
     Used to solve character-interpolation problems: a map defined on the rows
     extends to Z^k by applying these combinations to the target values.
+    With the rows as columns, ``m @ u == h`` is the Hermite form, and it is
+    ``[I | 0]`` exactly when the rows span Z^k; then the first k columns of
+    ``u`` are the combinations.
     """
-    matrix = tuple(tuple(row[i] for row in rows) for i in range(k))
-    combinations = tuple(solve_integer(matrix, e) for e in mat_identity(k))
-    if None in combinations:
+    h, u = hnf(tuple(tuple(row[i] for row in rows) for i in range(k)))
+    if tuple(row[:k] for row in h) != mat_identity(k):
         raise ValueError("the given rows do not span the full lattice")
-    return combinations
+    return transpose(u)[:k]
 
 
 def _combine(combination, values):

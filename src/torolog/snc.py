@@ -11,7 +11,7 @@ point is ``Z^k``) and Milnor-type fibers come from
 multiplicities.
 """
 
-from .lattice import AbelianGroupInvariants, record
+from .lattice import AbelianGroupInvariants, _integral, record
 from .rounding import FiberReport, milnor_stratum_fiber
 
 __all__ = [
@@ -40,14 +40,14 @@ class DualComplex:
         multiplicities=None,
         complete: bool = False,
     ):
-        ambient_dim = int(ambient_dim)
-        vertex_count = int(vertex_count)
+        ambient_dim = _integral(ambient_dim)
+        vertex_count = _integral(vertex_count)
         if ambient_dim < 0 or vertex_count < 0:
             raise ValueError("dimensions and vertex counts are nonnegative")
 
         cleaned = []
         for s in simplices:
-            s = tuple(int(v) for v in s)
+            s = tuple(map(_integral, s))
             if not s:
                 raise ValueError("simplices must be nonempty")
             if len(set(s)) != len(s):
@@ -77,7 +77,7 @@ class DualComplex:
             cleaned.append(sub)
 
         if multiplicities is not None:
-            multiplicities = tuple(int(m) for m in multiplicities)
+            multiplicities = tuple(map(_integral, multiplicities))
             if len(multiplicities) != vertex_count:
                 raise ValueError("one multiplicity per vertex is required")
             if any(m < 1 for m in multiplicities):

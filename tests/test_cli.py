@@ -557,6 +557,37 @@ def test_morphism_check_rejects_a_radial_log_that_is_not_an_array(
     )
 
 
+LINE_ATLAS_JSON = fanmon_to_json(affine_atlas(ToricMonoid(1, ((1,),))))
+
+
+def line_morphism(**point):
+    """The identity on the atlas of N, with a point request on chart 0."""
+    request = {"source_chart": 0, "target_chart": 0, "face": [],
+               "radial_log": [], "angle": []}
+    return {"nu": [["1"]], "source": LINE_ATLAS_JSON,
+            "target": LINE_ATLAS_JSON, "point": dict(request, **point)}
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["round", "fiber"],
+     {"monoid": NN2_JSON, "face": [], "images": [[1.0, "x"], [1.0, "0"]]},
+     "'x' is not an exact angle"),
+    (["round", "fiber"],
+     {"monoid": NN2_JSON, "face": [], "images": [[1.0, True], [1.0, "0"]]},
+     "True is not an angle"),
+    (["round", "fiber"], {"monoid": NN2_JSON, "face": [], "images": [[1.0]]},
+     "images must be [radius, angle] pairs"),
+    (["morphism", "check"], line_morphism(target_chart=9),
+     "target chart 9 is out of range"),
+    (["morphism", "check"], line_morphism(kind="polar"),
+     "unknown point kind 'polar'"),
+])
+def test_malformed_point_requests_end_in_exit_2(
+    tmp_path, capsys, argv, payload, message
+):
+    assert_rejected(capsys, tmp_path, argv, payload, message)
+
+
 def test_cone_dual_rejects_a_negative_ambient_rank(tmp_path, capsys):
     assert_rejected(
         capsys, tmp_path, ["cone", "dual"], {"ambient_rank": -1, "rays": []},

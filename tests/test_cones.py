@@ -82,6 +82,24 @@ def test_negative_ambient_rank_raises():
         RationalCone(-1, ())
 
 
+def test_a_non_integral_rank_or_entry_is_refused():
+    # int() would read rank 2.5 as 2 and the entry 0.5 as 0.
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+        RationalCone(2.5, ((1, 0),))
+    with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+        RationalCone(2, ((1, 0.5),))
+    assert RationalCone(2.0, (("1", 0.0),)) == RationalCone(2, ((1, 0),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_face_of(QUADRANT, RationalCone(1, ())),
+    lambda: intersect(QUADRANT, RationalCone(1, ())),
+])
+def test_cones_of_different_ranks_are_refused(call):
+    with pytest.raises(ValueError, match="^cones live in different ambient ranks$"):
+        call()
+
+
 def test_cones_are_usable_as_dict_keys():
     d = {QUADRANT: "a", UPPER_HALF_PLANE: "b"}
     assert d[RationalCone(2, ((0, 1), (1, 0)))] == "a"

@@ -97,6 +97,18 @@ def test_fan_rejects_mixed_ambient_ranks():
         Fan(2, (QUADRANT, RationalCone(1, ((1,),))))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Fan(2, (QUADRANT, 5)), "not a cone: 5"),
+    (lambda: FanOfMonoids(2, ((QUADRANT, 5),)),
+     r"not a \(cone, monoid\) pair: \(RationalCone\(2, .*\), 5\)"),
+    (lambda: FanOfMonoids(1, ((QUADRANT, ToricMonoid(2, ())),)),
+     r"entry ranks \(2, 2\) do not match fan rank 1"),
+])
+def test_malformed_fans_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_quadrant_fan_passes():
     f = Fan(2, (QUADRANT, X_RAY, Y_RAY, ORIGIN))
     report = validate_fan(f)

@@ -4,8 +4,11 @@ A ``torolog`` run imports the package once per payload, so the import
 should not pull in heavy standard modules it does not use, and it should
 leave every module in place for the benchmark tracer.  Each check runs in a
 fresh interpreter, so the modules this test process loaded do not count.
+No module imports a name it never uses, so a deletion leaves no dead import
+behind.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -65,3 +68,41 @@ def test_the_bench_tracer_installs_and_uninstalls_after_the_import():
               metrics["cones.RationalCone.calls"])
     """))
     assert out == "1 1 1\n"
+
+
+def unused_imports(source):
+    """The names a module imports but neither reads nor lists in
+    ``__all__``, read from its syntax tree."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(
+                (a.asname or a.name).split(".")[0] for a in node.names
+            )
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts)
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "import os, sys\nfrom math import gcd as g, tau\n__all__ = ['tau']\nsys\n"
+    assert unused_imports(source) == ["g", "os"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ``__init__`` imports only to export, so it is not checked.
+    package = os.path.dirname(os.path.abspath(torolog.__file__))
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                if names := unused_imports(fh.read()):
+                    found[name] = names
+    assert found == {}

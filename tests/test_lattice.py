@@ -7,13 +7,17 @@ both are deliberately independent of the library code.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torolog.lattice import (
+    _integral,
     hnf,
+    hnf_basis,
+    mat_vec,
     snf,
     quotient_invariants,
     pairing,
@@ -291,6 +295,34 @@ def test_solve_integer_reports_unsolvable():
     m = ((2,), (0,))
     assert solve_integer(m, (1, 0)) is None
     assert solve_integer(m, (0, 1)) is None
+
+
+def test_integral_keeps_exact_values_and_refuses_the_rest():
+    assert [_integral(x) for x in (3, -2, 4.0, Fraction(6, 2), "7", True)] == [
+        3, -2, 4, 3, 7, 1
+    ]
+    for x, shown in ((1.5, "1.5"), (Fraction(1, 2), "Fraction(1, 2)")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(shown)} is not an integer$"):
+            _integral(x)
+    with pytest.raises(ValueError):
+        _integral("1.5")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mat_mul(((1, 2),), ((1,),)), "matrix dimensions do not match"),
+    (lambda: mat_vec(((1, 2),), (1,)),
+     "matrix and vector dimensions do not match"),
+    (lambda: det(((1, 2),)), "determinant needs a square matrix"),
+    (lambda: hnf_basis([(1, 0), (1,)]),
+     "generators live in lattices of different ranks"),
+    (lambda: solve_integer(((1, 0),), (1, 2)),
+     "right-hand side has the wrong length"),
+    (lambda: quotient_invariants(2, ((1,),)),
+     "matrix must have one row per ambient coordinate"),
+])
+def test_malformed_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_lattice_rank():

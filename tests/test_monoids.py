@@ -24,6 +24,7 @@ from torolog.lattice import (
     mat_vec,
     pairing,
     snf,
+    solve_integer,
     transpose,
 )
 from torolog.monoids import (
@@ -31,6 +32,7 @@ from torolog.monoids import (
     ToricMonoid,
     _face_with_indices,
     _generator_coordinates,
+    _gp_matrix,
     _require_face,
     _splitting,
     edge,
@@ -75,6 +77,13 @@ def test_generator_length_mismatch_raises():
 def test_negative_ambient_rank_raises():
     with pytest.raises(ValueError, match="negative"):
         ToricMonoid(-1, ())
+
+
+def test_a_non_integral_generator_entry_is_refused():
+    # int() would truncate 1.5 to 1; exact conversions are still read.
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        ToricMonoid(1, [(1.5,)])
+    assert ToricMonoid(2, [(2.0, "3")]).generators == ((2, 3),)
 
 
 def test_structural_equality_and_hash():
@@ -137,6 +146,90 @@ def test_membership_dimension_mismatch_raises():
         membership(NN2, (1, 2, 3))
 
 
+def test_membership_refuses_a_non_integral_point():
+    # Truncating 5.9 would certify 5 = 2 + 3 instead.
+    with pytest.raises(ValueError, match=r"^5\.9 is not an integer$"):
+        membership(NUMERICAL, (5.9,))
+    assert membership(NUMERICAL, (5.0,)) == membership(NUMERICAL, (5,))
+
+
+def membership_by_dict_search(g, m):
+    """The membership search that collects the sharp coefficients in a dict
+    on the way back up and assembles the witness in a second pass.  The
+    in-place search must return the same witness."""
+    m = tuple(int(x) for x in m)
+    n = len(g.generators)
+    if not any(m):
+        return (0,) * n
+    if not g.generators:
+        return None
+    if not contains(exponent_cone(g), m):
+        return None
+    if solve_integer(_gp_matrix(g), m) is None:
+        return None
+    unit_idx, sharp_idx, w, unit_columns, relieve = _splitting(g)
+    sharp = [(i, g.generators[i], pairing(w, g.generators[i])) for i in sharp_idx]
+    failed = set()
+
+    def unit_part(rem):
+        if not unit_idx:
+            return () if not any(rem) else None
+        c = solve_integer(unit_columns, rem)
+        if c is None:
+            return None
+        shift = 0
+        for ci, zi in zip(c, relieve):
+            if ci < 0:
+                shift = max(shift, (-ci + zi - 1) // zi)
+        return tuple(ci + shift * zi for ci, zi in zip(c, relieve))
+
+    def search(pos, rem, rem_budget):
+        if pos == len(sharp):
+            if rem_budget != 0:
+                return None
+            uc = unit_part(rem)
+            return None if uc is None else ({}, uc)
+        key = (pos, rem)
+        if key in failed:
+            return None
+        _, vec, wv = sharp[pos]
+        for a in range(rem_budget // wv + 1):
+            nxt = tuple(r - a * x for r, x in zip(rem, vec))
+            found = search(pos + 1, nxt, rem_budget - a * wv)
+            if found is not None:
+                found[0][sharp[pos][0]] = a
+                return found
+        failed.add(key)
+        return None
+
+    found = search(0, m, pairing(w, m))
+    if found is None:
+        return None
+    witness = [0] * n
+    for i, a in found[0].items():
+        witness[i] = a
+    for i, a in zip(unit_idx, found[1]):
+        witness[i] = a
+    return tuple(witness)
+
+
+def test_membership_witnesses_equal_the_dict_search():
+    rng = random.Random(5)
+    corpus = [random_monoid(rng, rng.randint(1, 4)) for _ in range(120)]
+    corpus += unpaired_unit_monoids(rng, 80) + paired_unit_monoids(rng, 30)
+    found = 0
+    for g in corpus:
+        points = [tuple(rng.randint(-7, 7) for _ in range(g.ambient_rank))
+                  for _ in range(3)]
+        coeffs = [rng.randint(0, 3) for _ in g.generators]
+        points.append(mat_vec(transpose(g.generators), coeffs))
+        for m in points:
+            w = membership(g, m)
+            assert w == membership_by_dict_search(g, m)
+            found += w is not None
+    assert found >= 300
+
+
 def test_membership_witnesses_on_random_combinations():
     rng = random.Random(41)
     for _ in range(40):
@@ -159,7 +252,8 @@ def test_relieve_is_a_strictly_positive_relation_among_the_units():
     corpus = [Z2, ToricMonoid(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 0),
                                   (2, 3, 0), (0, 0, 1)))]
     corpus += [random_monoid(rng, rng.randint(1, 4)) for _ in range(200)]
-    with_units = 0
+    corpus += unpaired_unit_monoids(rng, 100)
+    with_units = unpaired = 0
     for g in corpus:
         unit_idx, _, _, _, relieve = _splitting(g)
         if not unit_idx:
@@ -173,7 +267,12 @@ def test_relieve_is_a_strictly_positive_relation_among_the_units():
             sum(z * u[i] for z, u in zip(relieve, units)) == 0
             for i in range(g.ambient_rank)
         )
-    assert with_units >= 50
+        if any(tuple(-x for x in u) not in units for u in units):
+            # Read from one dual cone, relieve sums the same extreme rays
+            # as the oracle's double description pass.
+            unpaired += 1
+            assert relieve == tuple(map(sum, zip(*circuit_rays(units))))
+    assert with_units >= 150 and unpaired >= 100
 
 
 def circuit_rays(units):
@@ -202,6 +301,21 @@ def paired_unit_monoids(rng, count):
         g = ToricMonoid(rank, gens)
         units = {g.generators[i] for i in _splitting(g)[0]}
         if units and all(tuple(-x for x in u) in units for u in units):
+            out.append(g)
+    return out
+
+
+def unpaired_unit_monoids(rng, count):
+    """Seeded monoids with a unit whose negative is not a generator."""
+    out = []
+    while len(out) < count:
+        rank = rng.randint(1, 4)
+        g = ToricMonoid(rank, [
+            tuple(rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(rng.randint(2, rank + 4))
+        ])
+        units = {g.generators[i] for i in _splitting(g)[0]}
+        if any(tuple(-x for x in u) not in units for u in units):
             out.append(g)
     return out
 
@@ -462,6 +576,17 @@ def test_saturation_membership_respects_the_group():
     assert membership(TORSION, (1, 0)) is None
     # (1,1) with a half: outside the group? (1,2) is inside cone and group.
     assert saturation_membership(TORSION, (1, 2))
+
+
+def test_saturation_membership_refuses_a_point_of_another_rank():
+    with pytest.raises(ValueError, match=r"^point \(1, 2\) does not have length 1$"):
+        saturation_membership(NUMERICAL, (1, 2))
+
+
+def test_saturation_membership_refuses_a_non_integral_point():
+    # Truncating 0.5 to 0 would answer True.
+    with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+        saturation_membership(ToricMonoid(1, ((1,),)), (0.5,))
 
 
 def test_hilbert_basis_of_slanted_cone():

@@ -40,6 +40,7 @@ from torolog.morphisms import (
 from torolog.rounding import (
     ComplexPoint,
     RoundingPoint,
+    base_point,
     evaluate_monomial,
     monomial_angle,
 )
@@ -343,6 +344,18 @@ def test_apply_preserves_boundary_support():
     q = apply_to_point(((2, 3),), NN2, p)
     assert q.support_face == edge(NN2)
     assert evaluate_monomial(q, (1, 0)) == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ToricMorphismData(((1.5, 0), (0, 1)), PLANE_ATLAS, PLANE_ATLAS),
+     "the matrix entries must be integers"),
+    (lambda: apply_to_point(((1, 0),), NN, base_point(NN)),
+     "the matrix shape must map the source ambient lattice into the point's "
+     "ambient lattice"),
+])
+def test_malformed_maps_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_apply_rejects_maps_leaving_the_monoid():

@@ -9,13 +9,14 @@ import cmath
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_monoid
 from torolog.fans import FanStratum, affine_atlas
-from torolog.lattice import hnf, solve_integer
+from torolog.lattice import hnf, mat_identity, solve_integer
 from torolog.monoids import (
     ToricMonoid,
     _generator_coordinates,
@@ -165,15 +166,38 @@ def solving_combinations_by_hnf(rows, k):
     return tuple(tuple(u[i][j] for i in range(len(rows))) for j in range(k))
 
 
+def solving_combinations_by_solves(rows, k):
+    """One integer solve per basis vector, as the combinations were found
+    before they were read from a single Hermite transform."""
+    matrix = tuple(tuple(row[i] for row in rows) for i in range(k))
+    combinations = tuple(solve_integer(matrix, e) for e in mat_identity(k))
+    if None in combinations:
+        raise ValueError("the given rows do not span the full lattice")
+    return combinations
+
+
 def test_solving_combinations_match_the_hermite_transform():
+    # Each face's coordinates span; dropping a row or doubling every row
+    # mostly makes sets that do not, which must raise as the solves do.
     rng = random.Random(5)
+    failing = 0
     for _ in range(200):
         g = random_monoid(rng, rng.randint(1, 4))
         for f in faces(g):
             rows, k = _generator_coordinates(f.monoid), len(gp(f.monoid))
             assert _solving_combinations(rows, k) == (
                 solving_combinations_by_hnf(rows, k)
-            )
+            ) == solving_combinations_by_solves(rows, k)
+            for rs in (rows[:-1], tuple(tuple(2 * x for x in r) for r in rows)):
+                try:
+                    want = solving_combinations_by_solves(rs, k)
+                except ValueError:
+                    failing += 1
+                    with pytest.raises(ValueError, match="do not span"):
+                        _solving_combinations(rs, k)
+                else:
+                    assert _solving_combinations(rs, k) == want
+    assert failing >= 500
     for rows in (((2,),), ((2, 0), (0, 1)), ((1, 1), (2, 2))):
         with pytest.raises(ValueError, match="do not span"):
             _solving_combinations(rows, len(rows[0]))
@@ -703,3 +727,41 @@ def test_fiber_report_component_consistency():
             assert rep.components >= 1
             assert rep.components == rep.invariants.torsion_order
             assert (rep.components == 1) == (rep.invariants.torsion == ())
+
+
+FULL_NN = faces(NN)[-1]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RoundingPoint(NN, FULL_NN, (0.0,), (1j,)),
+     "angles must be real numbers measured in turns"),
+    (lambda: RoundingPoint(NN, FULL_NN, (0.0,), (math.inf,)),
+     "angles must be finite"),
+    (lambda: encode_hom(NN, [(1j, 0)]), "radii must be real numbers"),
+    (lambda: encode_hom(NN, [(-1, 0)]), "radii must be nonnegative"),
+    (lambda: RoundingPoint(NN, FULL_NN, (), (0,)),
+     "radial data must match the rank of the support face group"),
+    (lambda: RoundingPoint(NN, FULL_NN, (0.0,), ()),
+     "angle data must match the rank of the generated group"),
+    (lambda: ComplexPoint(NN, FULL_NN, (0.0,), ()),
+     "radial and angle data must match the rank of the support face group"),
+    (lambda: encode_hom(NN, [(1, 0), (1, 0)]), "expected 1 images, got 2"),
+    (lambda: encode_hom(NUMERICAL, [(1.0, 0.1), (1.0, 0.1)]),
+     "the angles violate an additive relation among the generators"),
+    (lambda: monomial_angle(base_point(NUMERICAL), (1,)),
+     "(1,) is not an element of the monoid"),
+    (lambda: monomial_angle(ComplexPoint(NN, faces(NN)[0], (), ()), (1,)),
+     "(1,) vanishes at the point and carries no angle"),
+    (lambda: relative_fiber(((1,), (1, 2)), faces(NN2)[0]),
+     "the matrix rows have unequal lengths"),
+    (lambda: relative_fiber(((1.5,), (1,)), faces(NN2)[0]),
+     "the matrix entries must be integers"),
+    (lambda: associated_log_stalk(NUMERICAL, faces(NUMERICAL)[0]).multiply(
+        (1,), (2,)), "(1,) is not an element of the monoid"),
+    (lambda: points_of(NN, "standard"),
+     "points valued in the marker-generator target are not stratified by "
+     "faces"),
+])
+def test_malformed_points_and_maps_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -60,6 +60,23 @@ def test_vertex_bounds_and_repeats_are_rejected():
         DualComplex(2, 1, ((0,), ()))
 
 
+def test_a_non_integral_vertex_is_refused():
+    # int() would read the vertex 0.5 as vertex 0.
+    with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+        DualComplex(2, 2, ((0.5,), (1,)))
+    assert DualComplex(2.0, 2, ((0.0,), (1,))) == DualComplex(2, 2, ((0,), (1,)))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0, ()), "dimensions and vertex counts are nonnegative"),
+    ((2, -1, ()), "dimensions and vertex counts are nonnegative"),
+    ((2, 1, ((0,),), (1.5,)), r"1\.5 is not an integer"),
+])
+def test_malformed_complexes_are_refused(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DualComplex(*args)
+
+
 def test_completion_restores_subsets_and_singletons():
     dc = DualComplex(2, 3, ((0, 1),), complete=True)
     assert dc.simplices == ((0,), (1,), (2,), (0, 1))
