@@ -2,8 +2,9 @@
 
 ``torolog GROUP VERB [--json] [--input PATH] [--strict-complex]`` is parsed
 by one flat parser and dispatched through ``_VERBS``; ``torolog --help``
-lists every verb.  Each handler builds its JSON rows once, and the text
-table is rendered from those same rows by ``_table``.
+lists every verb.  Each handler returns its JSON object and the parts of
+its text form: lines, and ``(columns, rows)`` tables that ``_table`` aligns
+from the same rows.  ``main`` renders only the form asked for.
 
 Integer matrix entries are written as decimal strings so values survive JSON
 implementations with 53-bit number limits; readers accept plain integers as
@@ -53,7 +54,6 @@ from .rounding import (
     monomial_angle,
     points_of,
     rounding_report,
-    strict_restriction_check,
     tau,
 )
 from .snc import DualComplex, link_report, milnor_report
@@ -334,9 +334,8 @@ def _check_output(report):
     failures = [{"code": f.code, "message": f.message} for f in report.failures]
     obj = {"ok": report.ok, "failures": failures}
     if report.ok:
-        return 0, obj, "PASS"
-    lines = ["FAIL"] + [f"{f['code']}: {f['message']}" for f in failures]
-    return 1, obj, "\n".join(lines)
+        return 0, obj, ["PASS"]
+    return 1, obj, ["FAIL"] + [f"{f.code}: {f.message}" for f in report.failures]
 
 
 def _fiber_line(rep):
@@ -363,20 +362,18 @@ _FIBER_COLUMNS = (("fiber rank", "fiber_rank", str),
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns (exit code, JSON object, text)
+# Verb handlers: each returns (exit code, JSON object, text parts), where a
+# part is a line or a ``(columns, rows)`` pair for ``_table``
 # ---------------------------------------------------------------------------
 
 def _cmd_cone_dual(payload, args):
     """the dual cone"""
     d = dual_cone(RationalCone(*_cone_parts(payload)))
     obj = cone_to_json(d)
-    fields = (
-        ("ambient_rank", d.ambient_rank),
-        ("dim", dim(d)),
-        ("rays", _vecs(obj["rays"])),
-        ("lineality", _vecs(obj["lineality"])),
-    )
-    return 0, obj, _table((("field", 0, str), ("value", 1, str)), fields)
+    fields = (("ambient_rank", d.ambient_rank), ("dim", dim(d)),
+              ("rays", obj["rays"]), ("lineality", obj["lineality"]))
+    value = ("value", 1, lambda v: _vecs(v) if isinstance(v, list) else str(v))
+    return 0, obj, [((("field", 0, str), value), fields)]
 
 
 def _cmd_cone_faces(payload, args):
@@ -397,7 +394,7 @@ def _cmd_cone_faces(payload, args):
     columns = (_INDEX, ("dim", "dim", str), ("rays", "rays", _vecs),
                ("lineality", "lineality", _vecs),
                ("subfaces", "subfaces", _joined))
-    return 0, {"faces": rows}, _table(columns, rows)
+    return 0, {"faces": rows}, [(columns, rows)]
 
 
 def _cmd_monoid_saturate(payload, args):
@@ -413,10 +410,10 @@ def _cmd_monoid_saturate(payload, args):
         already_saturated=is_saturated(g),
         normalization_check={"ok": True, "failures": []},
     )
-    text = _table((("generator", 0, _vec),), zip(obj["generators"]))
-    text += f"\nalready saturated: {_yes_no(obj['already_saturated'])}"
-    text += "\nnormalization morphism: PASS"
-    return 0, obj, text
+    saturated = _yes_no(obj["already_saturated"])
+    return 0, obj, [((("generator", 0, _vec),), zip(obj["generators"])),
+                    f"already saturated: {saturated}",
+                    "normalization morphism: PASS"]
 
 
 def _cmd_monoid_faces(payload, args):
@@ -437,7 +434,7 @@ def _cmd_monoid_faces(payload, args):
     columns = (_INDEX, ("gen indices", "indices", _joined),
                ("generators", "generators", _vecs),
                ("prime complement", "prime_complement", _joined))
-    return 0, {"faces": rows}, _table(columns, rows)
+    return 0, {"faces": rows}, [(columns, rows)]
 
 
 def _cmd_monoid_ghost(payload, args):
@@ -457,10 +454,9 @@ def _cmd_monoid_ghost(payload, args):
     }
     columns = (("generator", "generator", _vec), ("free image", "free", _vec),
                ("torsion image", "torsion", _joined))
-    rows = [dict(im, generator=v) for v, im in zip(g.generators, images)]
+    rows = (dict(im, generator=v) for v, im in zip(g.generators, images))
     torsion = _vec(inv.torsion) if inv.torsion else "none"
-    text = f"rank {inv.rank}, torsion {torsion}\n" + _table(columns, rows)
-    return 0, obj, text
+    return 0, obj, [f"rank {inv.rank}, torsion {torsion}", (columns, rows)]
 
 
 def _cmd_fan_check(payload, args):
@@ -476,8 +472,8 @@ def _cmd_fanmon_check(payload, args):
 def _fanmon_output(fm):
     columns = (_INDEX, ("cone dim", 0, str), ("cone rays", 1, _vecs),
                ("monoid generators", 2, _vecs))
-    rows = [(dim(c), c.rays, m.generators) for c, m in fm.entries]
-    return 0, fanmon_to_json(fm), _table(columns, rows)
+    rows = ((dim(c), c.rays, m.generators) for c, m in fm.entries)
+    return 0, fanmon_to_json(fm), [(columns, rows)]
 
 
 def _cmd_fanmon_atlas(payload, args):
@@ -493,7 +489,7 @@ def _cmd_fanmon_normal(payload, args):
 def _cmd_morphism_check(payload, args):
     """compatibility report; optional point pushforward"""
     d = morphism_from_json(payload)
-    code, obj, text = _check_output(check_morphism(d))
+    code, obj, parts = _check_output(check_morphism(d))
     request = payload.get("point")
     if code == 0 and request is not None:
         i = _as_int(_field(request, "source_chart", "point"), "source_chart")
@@ -508,11 +504,10 @@ def _cmd_morphism_check(payload, args):
         p = _point_from_json(d.source.entries[i][1], request, kind)
         image = apply_to_point(d.nu_dual, d.target.entries[j][1], p)
         obj["point_image"] = dict(rounding_point_to_json(image), kind=kind)
-        text += (
-            f"\npoint image: face {_braces(obj['point_image']['face'])}, "
-            f"angles {', '.join(obj['point_image']['angle'])}"
-        )
-    return code, obj, text
+        im = obj["point_image"]
+        parts.append(f"point image: face {_braces(im['face'])}, "
+                     f"angles {', '.join(im['angle'])}")
+    return code, obj, parts
 
 
 def _cmd_round_report(payload, args):
@@ -534,7 +529,7 @@ def _cmd_round_report(payload, args):
         }
         columns = (("face", "face", _braces),
                    ("torus rank", "torus_rank", str)) + _FIBER_COLUMNS
-        return 0, obj, _table(columns, rows)
+        return 0, obj, [(columns, rows)]
     fm = fanmon_from_json(payload)
     report = validate_fan_of_monoids(fm)
     if not report.ok:
@@ -550,16 +545,17 @@ def _cmd_round_report(payload, args):
         + _FIBER_COLUMNS
         + (("boundary", "boundary", _yes_no),)
     )
-    return 0, {"strata": rows}, _table(columns, rows)
+    return 0, {"strata": rows}, [(columns, rows)]
 
 
 def _cmd_round_fiber(payload, args):
     """fiber rank and component count; optional point encoding"""
     g, face = _monoid_and_face(payload)
     rep = fiber_structure(g, face)
-    obj = _fiber_json(rep)
-    obj["strict_restriction"] = strict_restriction_check(g, face)
-    text = _fiber_line(rep) + "\nstrict restriction: ok"
+    # The face was looked up by its indices, so it is a face of g and the
+    # strict restriction check cannot fail.
+    obj = dict(_fiber_json(rep), strict_restriction=True)
+    parts = [_fiber_line(rep), "strict restriction: ok"]
     images = payload.get("images")
     if images is not None:
         parsed = []
@@ -586,8 +582,8 @@ def _cmd_round_fiber(payload, args):
         columns = (("monomial", "monomial", _vec),
                    ("radius", "radius", "{:.6g}".format),
                    ("angle", "angle", str))
-        text += "\n" + _table(columns, obj["values"])
-    return 0, obj, text
+        parts.append((columns, obj["values"]))
+    return 0, obj, parts
 
 
 def _cmd_milnor_strata(payload, args):
@@ -595,11 +591,11 @@ def _cmd_milnor_strata(payload, args):
     if isinstance(payload, dict):
         payload = _field(payload, "multiplicities", "milnor input")
     rep = milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
-    return 0, _fiber_json(rep), _fiber_line(rep)
+    return 0, _fiber_json(rep), [_fiber_line(rep)]
 
 
 def _simplex_rows(rows):
-    """The JSON rows of an snc report and their text table."""
+    """The exit code, JSON object and text parts of an snc report's rows."""
     out = [
         {
             "simplex": list(r.simplex),
@@ -612,25 +608,25 @@ def _simplex_rows(rows):
     columns = (("simplex", "simplex", _braces),
                ("stratum dim", "stratum_dimension", str),
                ("fiber rank", "rank", str), ("components", "components", str))
-    return out, _table(columns, out)
+    return 0, {"rows": out}, [(columns, out)]
 
 
 def _cmd_snc_link(payload, args):
     """link fibers per simplex"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
-    rows, text = _simplex_rows(link_report(dc))
-    return 0, {"rows": rows}, text
+    return _simplex_rows(link_report(dc))
 
 
 def _cmd_snc_milnor(payload, args):
     """Milnor fibers per simplex, component totals by depth"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
     report = milnor_report(dc)
-    rows, text = _simplex_rows(report.rows)
+    code, obj, parts = _simplex_rows(report.rows)
     depths = report.components_by_depth
-    obj = {"rows": rows, "components_by_depth": [list(d) for d in depths]}
-    summary = "\n".join(f"depth {d}: {n} components" for d, n in depths)
-    return 0, obj, text + "\n" + summary
+    obj["components_by_depth"] = [list(d) for d in depths]
+    # One part even when empty: an empty complex ends in an empty line.
+    parts.append("\n".join(f"depth {d}: {n} components" for d, n in depths))
+    return code, obj, parts
 
 
 _VERBS = {
@@ -725,18 +721,17 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        code, obj, text = handler(payload, args)
+        code, obj, parts = handler(payload, args)
+        out = (json.dumps(obj, indent=2, sort_keys=True) if args.json
+               else "\n".join(p if isinstance(p, str) else _table(*p)
+                              for p in parts))
     except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
     except Exception as e:
         print(f"internal error: {type(e).__name__}", file=sys.stderr)
         return 3
-
-    if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(out)
     return code
 
 

@@ -21,7 +21,7 @@ from .cones import (
     is_sharp,
 )
 from .cones import faces as cone_faces
-from .lattice import mat_identity, memo, pairing, record
+from .lattice import _integral, mat_identity, memo, pairing, record
 from .monoids import (
     FiberReport,
     GhostReport,
@@ -78,6 +78,7 @@ class Fan:
     cones: tuple
 
     def __new__(cls, ambient_rank, cones):
+        ambient_rank = _integral(ambient_rank)
         if ambient_rank < 0:
             raise ValueError(f"ambient rank {ambient_rank} is negative")
         seen = set()
@@ -106,6 +107,7 @@ class FanOfMonoids:
     entries: tuple
 
     def __new__(cls, exponent_rank, entries):
+        exponent_rank = _integral(exponent_rank)
         if exponent_rank < 0:
             raise ValueError(f"rank {exponent_rank} is negative")
         cleaned = []

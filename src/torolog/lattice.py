@@ -382,6 +382,8 @@ def quotient_invariants(ambient_rank: int, columns: IntMat) -> AbelianGroupInvar
     > 1 is an invariant factor, each 1 kills a free generator, and the free
     rank is whatever the nonzero diagonal does not account for.
     """
+    ambient_rank = _integral(ambient_rank)
+    columns = tuple(tuple(map(_integral, row)) for row in columns)
     if len(columns) != ambient_rank:
         raise ValueError("matrix must have one row per ambient coordinate")
     s, _, _ = snf(columns)

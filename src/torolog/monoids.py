@@ -61,6 +61,7 @@ class ToricMonoid:
     __slots__ = ("ambient_rank", "generators")
 
     def __init__(self, ambient_rank, generators):
+        ambient_rank = _integral(ambient_rank)
         if ambient_rank < 0:
             raise ValueError(f"ambient rank {ambient_rank} is negative")
         cleaned = set()
@@ -353,7 +354,9 @@ def hilbert_basis(cone: RationalCone) -> tuple:
     rays.  So every irreducible point is a ray or a parallelepiped point.
     The candidates are scanned by a functional positive on the cone, and one
     is kept unless it minus a point kept before still lies in the cone: the
-    kept points are exactly the irreducible ones.
+    kept points are exactly the irreducible ones.  A reducible ``x`` minus
+    some basis point of at most half its degree lies in the cone, so ``x``
+    is tested only against the kept points that light.
     """
     if cone.lineality:
         return _hilbert_basis_with_units(cone)
@@ -363,14 +366,14 @@ def hilbert_basis(cone: RationalCone) -> tuple:
     simplices = _triangulation(cone)
     candidates = set(cone.rays).union(*map(_parallelepiped, simplices))
     candidates.discard((0,) * cone.ambient_rank)
-    accepted = []
-    for x in sorted(candidates, key=lambda p: (pairing(w, p), p)):
+    accepted = []  # (degree, point), by degree
+    for deg, x in sorted((pairing(w, p), p) for p in candidates):
+        light = itertools.takewhile(lambda k: 2 * k[0] <= deg, accepted)
         if not any(
-            contains(cone, tuple(a - b for a, b in zip(x, y)))
-            for y in accepted
+            contains(cone, tuple(a - b for a, b in zip(x, y))) for _, y in light
         ):
-            accepted.append(x)
-    return tuple(sorted(accepted))
+            accepted.append((deg, x))
+    return tuple(sorted(x for _, x in accepted))
 
 
 def _triangulation(cone: RationalCone) -> list:

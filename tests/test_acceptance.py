@@ -309,6 +309,27 @@ def test_criterion_saturate_a_five_generator_rank_3_monoid(tmp_path):
     )
 
 
+def test_criterion_saturate_a_thin_cone_with_ten_thousand_basis_points(tmp_path):
+    # Generated by (0, 1), (N, 1) and (1, 1) at N = 10^4, whose saturation
+    # is generated by the N + 1 points (k, 1).  Each candidate is tested
+    # only against kept points of at most half its degree, and all have one
+    # degree, so none is tested; this takes about 0.3 s.
+    n = 10 ** 4
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(
+        {"ambient_rank": 2, "generators": [[0, 1], [n, 1], [1, 1]]}
+    ))
+    clear_memos()
+    out = io.StringIO()
+    with criterion("monoid saturate of (0, 1), (10^4, 1), (1, 1)", 5.0):
+        with redirect_stdout(out):
+            code = main(["monoid", "saturate", "--input", str(path)])
+        assert code == 0
+    lines = out.getvalue().splitlines()
+    assert lines[1:-2] == [f"({k}, 1)" for k in range(n + 1)]
+    assert lines[-2:] == ["already saturated: no", "normalization morphism: PASS"]
+
+
 def test_criterion_rounding_fiber_suite():
     with criterion("collapse fibers over free charts and a torsion chart", 2.0):
         for n in range(1, 6):

@@ -398,16 +398,32 @@ def test_saturating_builds_and_checks_no_morphism(
         assert capsys.readouterr().out.endswith("normalization morphism: PASS\n")
 
 
-def test_a_mirrored_hilbert_basis_makes_as_many_containment_tests(monkeypatch):
-    # The cone is unimodular, so the candidates are its four rays and each
-    # is tested against the ones kept before it: 0 + 1 + 2 + 3 tests.
-    counts = []
+def _mirrored_containment_tests(monkeypatch, rays):
+    """The ``contains`` calls of the Hilbert bases of the cone on ``rays``
+    and of its mirror in the first coordinate, and the first basis."""
+    counts, bases = [], []
     for s in (1, -1):
-        rays = ((s, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (7 * s, 7, 7, 1))
+        mirrored = tuple((s * r[0],) + r[1:] for r in rays)
         calls, basis = count_calls(
             monkeypatch, cones, "contains",
-            lambda: monoids.hilbert_basis(RationalCone(4, rays)),
+            lambda: monoids.hilbert_basis(RationalCone(len(rays[0]), mirrored)),
         )
-        assert set(basis) == set(rays)
         counts.append(calls)
-    assert counts == [6, 6]
+        bases.append(basis)
+    assert bases[1] == tuple(sorted((-x[0],) + x[1:] for x in bases[0]))
+    return counts, bases[0]
+
+
+def test_a_mirrored_hilbert_basis_makes_as_many_containment_tests(monkeypatch):
+    # The cone is unimodular, so the candidates are its four rays.  A ray
+    # is tested only against kept points of at most half its degree, and
+    # none is that light, so no test is made.
+    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (7, 7, 7, 1))
+    counts, basis = _mirrored_containment_tests(monkeypatch, rays)
+    assert set(basis) == set(rays)
+    assert counts == [0, 0]
+    # Determinant 20: a parallelepiped of 20 points and a basis of 14.
+    rays = ((1, 0, 0), (1, 4, 0), (1, 1, 5))
+    counts, basis = _mirrored_containment_tests(monkeypatch, rays)
+    assert len(basis) == 14
+    assert counts == [49, 49]

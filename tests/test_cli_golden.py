@@ -24,6 +24,7 @@ from test_cli import (
     SEGMENT_JSON,
     TORSION_JSON,
 )
+from torolog import cli, rounding
 from torolog.cli import _VERBS, cone_to_json, fanmon_to_json, main
 from torolog.cones import RationalCone, faces
 from torolog.fans import Fan, affine_atlas, normal_fan_of_monoids
@@ -222,7 +223,7 @@ def test_the_payloads_reach_every_verb_in_both_modes():
 
 
 def test_every_run_matches_the_recorded_output():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = _golden()
     assert [(g["argv"], g["payload"]) for g in golden] == [
         (argv, payload) for argv, payload in cases()
     ]
@@ -230,6 +231,71 @@ def test_every_run_matches_the_recorded_output():
         assert run(g["argv"], g["payload"]) == (
             g["code"], g["stdout"], g["stderr"]
         ), g["argv"]
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _count_calls(monkeypatch, module, name, golden):
+    """The calls to ``module.name`` while replaying the ``golden`` runs, each
+    of which must still print its recorded output.  The function is
+    replaced in ``module`` and in every torolog module that imported it by
+    name; payloads are serialized before the count starts."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    stdins = [g["payload"] if isinstance(g["payload"], str)
+              else json.dumps(g["payload"]) for g in golden]
+    with monkeypatch.context() as m:
+        for mod in [module] + list(sys.modules.values()):
+            if mod is module or (
+                getattr(mod, "__name__", "").startswith("torolog")
+                and getattr(mod, name, None) is original
+            ):
+                m.setattr(mod, name, counted)
+        for g, stdin in zip(golden, stdins):
+            assert run(g["argv"], stdin) == (
+                g["code"], g["stdout"], g["stderr"]
+            ), g["argv"]
+    return len(calls)
+
+
+def test_only_the_requested_form_is_rendered(monkeypatch):
+    golden = _golden()
+    as_json = [g for g in golden if "--json" in g["argv"]]
+    as_text = [g for g in golden if "--json" not in g["argv"]]
+    assert _count_calls(monkeypatch, cli, "_table", as_json) == 0
+    assert _count_calls(monkeypatch, json, "dumps", as_text) == 0
+    assert _count_calls(monkeypatch, cli, "_table", as_text) > 0
+
+
+def test_round_fiber_makes_no_strict_restriction_check(monkeypatch):
+    fibers = [g for g in _golden() if g["argv"][:2] == ["round", "fiber"]]
+    assert len(fibers) == 8
+    assert _count_calls(
+        monkeypatch, rounding, "strict_restriction_check", fibers
+    ) == 0
+
+
+def test_a_fault_while_rendering_is_an_internal_error(monkeypatch):
+    def fail(value):
+        raise RuntimeError(value)
+
+    def handler(payload, args):
+        return 0, {"x": 1}, ["a line", ((("x", 0, fail),), [(1,)])]
+
+    monkeypatch.setitem(_VERBS, ("cone", "dual"), handler)
+    assert run(["cone", "dual"], QUADRANT_JSON) == (
+        3, "", "internal error: RuntimeError\n"
+    )
+    assert run(["cone", "dual", "--json"], QUADRANT_JSON) == (
+        0, '{\n  "x": 1\n}\n', ""
+    )
 
 
 def test_strict_complex_outside_the_snc_verbs_is_a_usage_error():

@@ -92,6 +92,14 @@ def test_fan_deduplicates_and_sorts_cones():
     assert f.cones == (ORIGIN, Y_RAY, X_RAY, QUADRANT)
 
 
+def test_a_fan_with_a_non_integral_ambient_rank_is_refused():
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+        Fan(2.5, ())
+    with pytest.raises(ValueError, match=r"^ambient rank -1 is negative$"):
+        Fan(-1, ())
+    assert Fan("2", (QUADRANT,)).ambient_rank == 2
+
+
 def test_fan_rejects_mixed_ambient_ranks():
     with pytest.raises(ValueError):
         Fan(2, (QUADRANT, RationalCone(1, ((1,),))))
@@ -391,6 +399,14 @@ def test_duplicate_cone_keys_are_flagged():
         ),
     )
     assert "duplicate-cone" in codes(validate_fan_of_monoids(doubled))
+
+
+def test_a_fan_of_monoids_with_a_non_integral_rank_is_refused():
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        FanOfMonoids(1.5, ())
+    with pytest.raises(ValueError, match=r"^rank -1 is negative$"):
+        FanOfMonoids(-1, ())
+    assert FanOfMonoids(2.0, ()).exponent_rank == 2
 
 
 def test_fan_of_monoids_rejects_mixed_ranks():

@@ -180,6 +180,18 @@ def test_quotient_by_full_basis_is_trivial():
     assert inv.torsion == ()
 
 
+def test_quotient_invariants_refuse_a_non_integral_entry():
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        quotient_invariants(1, ((1.5,),))
+    assert quotient_invariants(1, ((3.0,),)).torsion == (3,)
+
+
+def test_quotient_invariants_refuse_a_non_integral_rank():
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        quotient_invariants(1.5, ((2,),))
+    assert quotient_invariants(1.0, ((2,),)).torsion == (2,)
+
+
 def brute_force_coset_count(columns):
     """Index of the rank-2 subgroup of Z^2 spanned by the columns of a 2x2
     integer matrix, counted as the number of integer points in the half-open

@@ -33,8 +33,10 @@ from torolog.monoids import (
     _face_with_indices,
     _generator_coordinates,
     _gp_matrix,
+    _parallelepiped,
     _require_face,
     _splitting,
+    _triangulation,
     edge,
     exponent_cone,
     faces,
@@ -77,6 +79,12 @@ def test_generator_length_mismatch_raises():
 def test_negative_ambient_rank_raises():
     with pytest.raises(ValueError, match="negative"):
         ToricMonoid(-1, ())
+
+
+def test_a_non_integral_ambient_rank_is_refused():
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+        ToricMonoid(2.5, ())
+    assert ToricMonoid(2.0, [(1, 0)]).ambient_rank == 2
 
 
 def test_a_non_integral_generator_entry_is_refused():
@@ -727,6 +735,53 @@ def test_hilbert_basis_of_a_mirrored_cone_is_the_mirrored_basis():
         for i in range(c.ambient_rank):
             flipped = RationalCone(c.ambient_rank, [mirror(r, i) for r in c.rays])
             assert hilbert_basis(flipped) == tuple(sorted(mirror(x, i) for x in hb))
+
+
+def full_scan_hilbert_basis(cone):
+    """Oracle for sharp cones: the same candidates as ``hilbert_basis``, each
+    tested against every point kept before it, whatever its degree."""
+    if not cone.rays:
+        return ()
+    w = tuple(map(sum, zip(*dual_cone(cone).rays)))
+    candidates = set(cone.rays).union(
+        *map(_parallelepiped, _triangulation(cone))
+    )
+    candidates.discard((0,) * cone.ambient_rank)
+    accepted = []
+    for x in sorted(candidates, key=lambda p: (pairing(w, p), p)):
+        if not any(
+            contains(cone, tuple(a - b for a, b in zip(x, y)))
+            for y in accepted
+        ):
+            accepted.append(x)
+    return tuple(sorted(accepted))
+
+
+def test_hilbert_basis_matches_the_full_scan_oracle():
+    # Seeded sharp cones of ranks 2-4, and thin cones whose large bases are
+    # where the degree bound skips the most tests.
+    rng = random.Random(97)
+    corpus = []
+    while len(corpus) < 150:
+        d = rng.randint(2, 4)
+        b = {2: 9, 3: 6, 4: 3}[d]
+        gens = [
+            tuple(rng.randint(-b, b) for _ in range(d))
+            for _ in range(rng.randint(d, d + 2))
+        ]
+        c = RationalCone(d, gens)
+        if not c.lineality:
+            corpus.append(c)
+    for n in (40, 150):
+        corpus.append(RationalCone(2, ((0, 1), (n, 1))))
+        corpus.append(RationalCone(2, ((0, 1), (n, n - 1))))
+        corpus.append(RationalCone(3, ((1, 0, 0), (0, 1, 0), (1, 1, n))))
+    sizes = []
+    for c in corpus:
+        hb = hilbert_basis(c)
+        assert hb == full_scan_hilbert_basis(c), c
+        sizes.append(len(hb))
+    assert max(sizes) > 150 and sum(s >= 20 for s in sizes) >= 10
 
 
 def test_saturate_numerical_monoid():
