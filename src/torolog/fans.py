@@ -17,7 +17,6 @@ from .cones import (
     dim,
     dual_cone,
     intersect,
-    is_face_of,
     is_sharp,
 )
 from .cones import faces as cone_faces
@@ -185,73 +184,69 @@ def validate_fan(f: Fan) -> ValidationReport:
     """Check sharpness, face closure, and that every two cones meet in a
     cone of the fan that is a face of both.
 
-    All is read from the fan's cover (``_cover``).  Every cone is a face of
-    a maximal cone, so the fan is closed under faces exactly when the cover
-    has as many faces as the fan has cones.  Then, with the cones sharp, if
-    each pair of maximal cones meets in a face of both, so does every pair
-    of their faces, and the fan is valid.  Otherwise every cone's faces and
-    every pair of cones are checked, so each violation becomes one entry.
+    One enumeration, read from the fan's cover (``_cover``), yields the
+    failures among some cones: each one not sharp, each missing face of
+    one, then each pair not meeting in a common face in the fan.  It runs
+    on the maximal cones first.  Every cone is a face of one, so if they
+    pass, so do all cones, and the fan is valid.  Otherwise it runs on
+    every cone, so each violation becomes one entry.
 
     Two faces of one cone meet in its face spanned by their common rays
     (faces of a cone share its lineality, so this holds for cones with
-    lineality too), and that meet is a face of both.  So a pair of cones
-    with a common maximal cone reads its meet from that cone's face
-    lattice; only the other pairs are intersected and tested for meeting in
-    a common face.  The faces of each cone are read there too.
+    lineality too), a face of both, read from its face lattice.  Only pairs
+    with no common maximal cone are intersected.  Their meet lies in both
+    cones, so it is a face of one exactly when it is a face of a maximal
+    cone above it.  The faces of each cone are read there too.
     """
-    failures = []
-    for c in f.cones:
-        if not is_sharp(c):
-            failures.append(
-                ValidationFailure("not-sharp", f"cone {c!r} has lineality")
-            )
-    top, above = _cover(f.cones)
-    if not failures and len(above) == len(f.cones) and all(
-        {i, j} <= above.get(intersect(top[i], top[j]), set())
-        for i, j in combinations(range(len(top)), 2)
-    ):
-        return ValidationReport(())
+    cones = f.cones
+    top, above = _cover(cones)
+    ups = [above[c] for c in cones]
+    rays = [frozenset(c.rays) for c in cones]
     # Each maximal cone's faces by ray set, each with its presence in the
-    # fan, and those missing; each cone's maximal cones and rays, by position.
-    present = set(f.cones)
-    lattices = [{frozenset(t.rays): (t, t in present) for t in cone_faces(m)}
+    # fan: a cone is the face on its rays of each maximal cone above it.
+    lattices = [{frozenset(t.rays): [t, False] for t in cone_faces(m)}
                 for m in top]
-    missing = [[t for t, here in lat.values() if not here] for lat in lattices]
-    ups = [above[c] for c in f.cones]
-    rays = [frozenset(c.rays) for c in f.cones]
-    for i, c in enumerate(f.cones):
-        for face in missing[min(ups[i])]:
-            if rays[i].issuperset(face.rays):
-                failures.append(
-                    ValidationFailure(
-                        "missing-face", f"face {face!r} of {c!r} is not in the fan"
+    for r, ks in zip(rays, ups):
+        for k in ks:
+            lattices[k][r][1] = True
+
+    def failures(positions):
+        for i in positions:
+            if not is_sharp(cones[i]):
+                yield ValidationFailure("not-sharp", f"cone {cones[i]!r} has lineality")
+        for i in positions:
+            for face, here in lattices[min(ups[i])].values():
+                if not here and rays[i].issuperset(face.rays):
+                    yield ValidationFailure(
+                        "missing-face",
+                        f"face {face!r} of {cones[i]!r} is not in the fan",
                     )
-                )
-    for i, j in combinations(range(len(f.cones)), 2):
-        a, b = f.cones[i], f.cones[j]
-        common = ups[i] & ups[j]
-        if common:
-            meet, here = lattices[min(common)][rays[i] & rays[j]]
-        else:
-            meet = intersect(a, b)
-            here = meet in present
-        if not here:
-            failures.append(
-                ValidationFailure(
+        for i, j in combinations(positions, 2):
+            a, b = cones[i], cones[j]
+            common = ups[i] & ups[j]
+            if common:
+                meet, here = lattices[min(common)][rays[i] & rays[j]]
+            else:
+                meet = intersect(a, b)
+                up = above.get(meet, frozenset())
+                here = up and lattices[min(up)][frozenset(meet.rays)][1]
+            if not here:
+                yield ValidationFailure(
                     "missing-intersection",
-                    f"intersection {meet!r} of {a!r} and {b!r} is not in "
-                    "the fan",
+                    f"intersection {meet!r} of {a!r} and {b!r} is not in the fan",
                 )
-            )
-        elif not common and not (is_face_of(meet, a) and is_face_of(meet, b)):
-            failures.append(
-                ValidationFailure(
+            elif not common and not {min(ups[i]), min(ups[j])} <= up:
+                yield ValidationFailure(
                     "improper-intersection",
                     f"intersection {meet!r} of {a!r} and {b!r} is not a "
                     "face of both",
                 )
-            )
-    return ValidationReport(tuple(failures))
+
+    # A proper face has fewer rays than the maximal cones above it.
+    maximal = [i for i, r in enumerate(rays) if len(r) == len(top[min(ups[i])].rays)]
+    if next(failures(maximal), None) is None:
+        return ValidationReport(())
+    return ValidationReport(tuple(failures(range(len(cones)))))
 
 
 def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
@@ -273,35 +268,30 @@ def _perp_face(monoid: ToricMonoid, cone: RationalCone):
     return _face_with_indices(monoid, _perp_face_indices(monoid, cone))
 
 
-def _certified_charts(fm: FanOfMonoids, charts: dict):
-    """The face charts certified by the maximal charts, and whether every
-    check passed.
+def _certified_charts(charts: dict, top):
+    """Each cone whose chart a maximal chart certifies, mapped to the set
+    of cones that chart certifies.
 
-    ``charts`` maps each cone to its monoid.  For each maximal cone
-    ``sigma`` whose chart has full group and weight cone ``sigma``, the
-    first value maps ``sigma`` to the set of its faces ``tau`` (``sigma``
-    included) whose chart equals the localization of the chart at ``sigma``
-    along the face vanishing on ``tau``.  The second is whether every
-    maximal chart passed and every one of its faces is certified.
+    ``charts`` maps each cone to its monoid, and ``top`` lists the maximal
+    cones.  A maximal chart with full group and weight cone ``sigma``
+    certifies ``sigma`` and each face ``tau`` of ``sigma`` whose chart
+    equals its localization along the face vanishing on ``tau``.
     """
-    identity = mat_identity(fm.exponent_rank)
-    certified, passed = {}, True
-    for sigma in _cover(tuple(charts))[0]:
+    certified = {}
+    for sigma in top:
         monoid = charts[sigma]
-        if gp(monoid) != identity or weight_cone(monoid) != sigma:
-            passed = False
+        full = gp(monoid) == mat_identity(sigma.ambient_rank)
+        if not full or weight_cone(monoid) != sigma:
             continue
-        agree = certified[sigma] = {sigma}
-        for tau in cone_faces(sigma):
-            if tau == sigma:
-                continue
-            if tau in charts:
-                phi = _perp_face(monoid, tau)
-                if monoid_equal(charts[tau], localize(monoid, phi)):
-                    agree.add(tau)
-                    continue
-            passed = False
-    return certified, passed
+        agree = {sigma} | {
+            tau
+            for tau in cone_faces(sigma)
+            if tau != sigma and tau in charts and monoid_equal(
+                charts[tau], localize(monoid, _perp_face(monoid, tau))
+            )
+        }
+        certified.update(dict.fromkeys(agree, agree))
+    return certified
 
 
 @memo
@@ -314,96 +304,80 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     the localization of the entry at ``sigma`` along the face vanishing on
     ``tau``.  All failures are reported.
 
-    Every condition is read from the maximal charts.  A maximal chart with
-    full group and weight cone ``sigma`` certifies each face ``tau`` of
-    ``sigma`` whose chart equals its localization along the face vanishing
-    on ``tau``.  A localization keeps the generated group, and the
-    localization of a chart with weight cone ``sigma`` along the face
-    vanishing on ``tau`` has weight cone
-    ``(sigma^v + lin(sigma^v & tau^perp))^v = tau`` (Cox-Little-Schenck,
-    *Toric Varieties*, Prop. 1.2.10).  So a certified chart passes its group
-    and weight cone checks.  Localization is transitive: for ``tau`` a face
-    of a face ``sigma'`` certified under ``sigma``, localizing the chart at
-    ``sigma'`` along the face vanishing on ``tau`` gives the localization
-    of the chart at ``sigma`` along the face vanishing on ``tau``.  So the
-    entry at ``tau`` is the localization of the entry at ``sigma'`` exactly
-    when ``tau`` is certified under ``sigma``; the face vanishing on ``tau``
-    always exists there, since the chart at ``sigma'`` has weight cone
-    ``sigma'``.  A valid fan whose maximal charts certify every face is
-    therefore valid as a fan of monoids.  Otherwise every entry and every
-    face pair is checked, so each violation becomes one report entry, and
-    only the charts no maximal chart certifies are checked on their own.
+    A localization keeps the generated group, and the localization of a
+    chart with weight cone ``sigma`` along the face vanishing on ``tau`` has
+    weight cone ``(sigma^v + lin(sigma^v & tau^perp))^v = tau``
+    (Cox-Little-Schenck, *Toric Varieties*, Prop. 1.2.10).  So a chart that
+    a maximal chart certifies (``_certified_charts``) passes its group and
+    weight cone checks.  Localization is transitive, so for ``tau`` a face
+    of a face ``sigma'`` certified under ``sigma``, the entry at ``tau`` is
+    the localization of the entry at ``sigma'`` exactly when ``tau`` is
+    certified under ``sigma``.  Only uncertified charts are checked alone.
+
+    One enumeration yields the failures among some entries.  Once the fan
+    is valid and no cone is listed twice, it runs on the maximal entries
+    first; if they pass, each maximal chart certifies all its faces, and
+    the fan of monoids is valid.  Otherwise it runs on every entry, so each
+    violation becomes one report entry.
     """
-    failures = list(validate_fan(fm.fan()).failures)
+    fan_failures = validate_fan(fm.fan()).failures
     charts = dict(fm.entries)
-    certified, passed = _certified_charts(fm, charts)
-    if not failures and len(charts) == len(fm.entries) and passed:
-        return ValidationReport(())
-    identity = mat_identity(fm.exponent_rank)
     top, above = _cover(tuple(charts))
-    # A certified cone, mapped to a maximal cone certifying it; only the
-    # entry at that cone which ``charts`` holds is certified.
-    under = {tau: sigma for sigma, agree in certified.items() for tau in agree}
+    certified = _certified_charts(charts, top)
+    identity = mat_identity(fm.exponent_rank)
 
-    def certifier(cone, monoid):
-        return under.get(cone) if charts[cone] is monoid else None
+    def agreeing(cone, monoid):
+        # Only the entry at a cone which ``charts`` holds is certified.
+        return certified.get(cone, ()) if charts[cone] is monoid else ()
 
-    for cone, monoid in fm.entries:
-        if certifier(cone, monoid) is None and gp(monoid) != identity:
-            failures.append(
-                ValidationFailure(
+    def failures(entries):
+        for cone, monoid in entries:
+            if not agreeing(cone, monoid) and gp(monoid) != identity:
+                yield ValidationFailure(
                     "group-not-full",
                     f"generators of {monoid!r} span a proper subgroup",
                 )
-            )
-    seen = {}
-    for cone, monoid in fm.entries:
-        if cone in seen:
-            failures.append(
-                ValidationFailure(
+        seen = set()
+        for cone, monoid in entries:
+            if cone in seen:
+                yield ValidationFailure(
                     "duplicate-cone", f"two entries share the cone {cone!r}"
                 )
-            )
-        seen[cone] = monoid
-        if certifier(cone, monoid) is None and weight_cone(monoid) != cone:
-            failures.append(
-                ValidationFailure(
+            seen.add(cone)
+            if not agreeing(cone, monoid) and weight_cone(monoid) != cone:
+                yield ValidationFailure(
                     "weight-cone-mismatch",
                     f"weight cone of {monoid!r} is {weight_cone(monoid)!r}, "
                     f"entry key is {cone!r}",
                 )
-            )
-    for cone, monoid in fm.entries:
-        sigma = certifier(cone, monoid)
-        # The faces of a cone are the faces of a maximal cone above it on
-        # its rays, in the same order.
-        rays = set(cone.rays)
-        for tau in cone_faces(top[min(above[cone])]):
-            if not rays.issuperset(tau.rays) or tau == cone or tau not in seen:
-                continue  # absence is already a fan failure
-            if sigma is not None:
-                agrees = tau in certified[sigma]
-            else:
-                phi = _perp_face(monoid, tau)
-                if phi is None:
-                    failures.append(
-                        ValidationFailure(
+        for cone, monoid in entries:
+            agree, rays = agreeing(cone, monoid), set(cone.rays)
+            for tau in cone_faces(top[min(above[cone])]):
+                if (not rays.issuperset(tau.rays) or tau == cone or tau in agree
+                        or tau not in charts):
+                    continue  # absence is already a fan failure
+                if not agree:
+                    phi = _perp_face(monoid, tau)
+                    if phi is None:
+                        yield ValidationFailure(
                             "face-incompatible",
                             f"generators of {monoid!r} vanishing on {tau!r} "
                             "do not span a face",
                         )
-                    )
-                    continue
-                agrees = monoid_equal(seen[tau], localize(monoid, phi))
-            if not agrees:
-                failures.append(
-                    ValidationFailure(
-                        "face-incompatible",
-                        f"entry at {tau!r} is not the localization of the "
-                        f"entry at {cone!r}",
-                    )
+                        continue
+                    if monoid_equal(charts[tau], localize(monoid, phi)):
+                        continue
+                yield ValidationFailure(
+                    "face-incompatible",
+                    f"entry at {tau!r} is not the localization of the "
+                    f"entry at {cone!r}",
                 )
-    return ValidationReport(tuple(failures))
+
+    if not fan_failures and len(charts) == len(fm.entries) and (
+        next(failures([(c, charts[c]) for c in top]), None) is None
+    ):
+        return ValidationReport(())
+    return ValidationReport(fan_failures + tuple(failures(fm.entries)))
 
 
 def affine_atlas(g: ToricMonoid) -> FanOfMonoids:

@@ -172,20 +172,19 @@ def apply_to_point(mu, g2: ToricMonoid, p):
             "the matrix shape must map the source ambient lattice into the "
             "point's ambient lattice"
         )
-    images = [mat_vec(mu, v) for v in g2.generators]
-    for v, img in zip(g2.generators, images):
-        if membership(g1, img) is None:
+    f1 = p.support_face
+    support = []
+    for i, v in enumerate(g2.generators):
+        img = mat_vec(mu, v)
+        witness = membership(g1, img)
+        if witness is None:
             raise ValueError(
                 f"the image {img} of {v} is missing from the point's monoid"
             )
-
-    f1 = p.support_face
-    support = tuple(
-        i
-        for i, img in enumerate(images)
-        if membership(f1.monoid, img) is not None
-    )
-    f2 = _face_with_indices(g2, support)
+        # A sum lies on a face exactly when each generator in it does.
+        if all(j in f1.generator_indices for j, c in enumerate(witness) if c):
+            support.append(i)
+    f2 = _face_with_indices(g2, tuple(support))
     polar = isinstance(p, RoundingPoint)
     coords, full = [], []
     if f2 is not None:

@@ -96,6 +96,13 @@ def _interpret_unit(u):
     return _normalize_angle(u)
 
 
+def _radial_logs(values):
+    radial = tuple(float(x) for x in values)
+    if not all(map(math.isfinite, radial)):
+        raise ValueError("radial data must be finite")
+    return radial
+
+
 def _interpret_radius(r):
     if isinstance(r, complex):
         raise ValueError("radii must be real numbers")
@@ -146,7 +153,7 @@ class RoundingPoint:
 
     def __new__(cls, monoid, support_face, radial_log, angle):
         _require_face(monoid, support_face)
-        radial = tuple(float(x) for x in radial_log)
+        radial = _radial_logs(radial_log)
         if len(radial) != len(gp(support_face.monoid)):
             raise ValueError(
                 "radial data must match the rank of the support face group"
@@ -175,7 +182,7 @@ class ComplexPoint:
     def __new__(cls, monoid, support_face, radial_log, angle):
         _require_face(monoid, support_face)
         k = len(gp(support_face.monoid))
-        radial = tuple(float(x) for x in radial_log)
+        radial = _radial_logs(radial_log)
         ang = tuple(_normalize_angle(a) for a in angle)
         if len(radial) != k or len(ang) != k:
             raise ValueError(

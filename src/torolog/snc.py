@@ -11,6 +11,8 @@ point is ``Z^k``) and Milnor-type fibers come from
 multiplicities.
 """
 
+from itertools import chain
+
 from .lattice import AbelianGroupInvariants, _integral, record
 from .rounding import FiberReport, milnor_stratum_fiber
 
@@ -63,9 +65,12 @@ class DualComplex:
 
         # Every proper face of a simplex, then every singleton: a complete
         # complex adds the missing ones, a strict one rejects the first.
+        # Both are enumerated lazily, so a strict complex is rejected in
+        # time bounded by its first missing face.
         present = set(cleaned)
-        needed = [(s, sub) for s in present for sub in _proper_subsets(s)]
-        for s, sub in needed + [(None, (v,)) for v in range(vertex_count)]:
+        needed = ((s, sub) for s in tuple(present) for sub in _proper_subsets(s))
+        singletons = ((None, (v,)) for v in range(vertex_count))
+        for s, sub in chain(needed, singletons):
             if sub in present:
                 continue
             if not complete:
@@ -96,12 +101,8 @@ class DualComplex:
 
 
 def _proper_subsets(s):
-    out = []
-    for mask in range(1, 1 << len(s)):
-        sub = tuple(s[i] for i in range(len(s)) if mask >> i & 1)
-        if len(sub) < len(s):
-            out.append(sub)
-    return out
+    for mask in range(1, (1 << len(s)) - 1):
+        yield tuple(s[i] for i in range(len(s)) if mask >> i & 1)
 
 
 @record

@@ -10,7 +10,7 @@ import json
 import math
 import random
 import time
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from conftest import random_cone, random_monoid
@@ -465,3 +465,24 @@ def test_criterion_a_19_cone_normal_fan_of_monoids_validates_quickly():
     with criterion("the seed-73 rank-3 normal fan of monoids validates", 1.0):
         assert len(fm.entries) == 19
         assert validate_fan_of_monoids(fm).ok
+
+
+def test_criterion_a_strict_40_vertex_simplex_is_rejected_at_its_first_face(
+    tmp_path,
+):
+    # Its 2^40 - 2 proper faces are enumerated lazily, so the first one
+    # missing, the singleton (0,), ends the check.  Listing them all took
+    # 0.53 s and 65 MB at 18 vertices, four times as much for every two more.
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(
+        {"n": 40, "vertices": 40, "simplices": [list(range(40))]}
+    ))
+    err = io.StringIO()
+    with criterion("a strict 40-vertex simplex is rejected", 1.0):
+        with redirect_stderr(err):
+            code = main(["snc", "link", "--strict-complex", "--input", str(path)])
+        assert code == 2
+    assert err.getvalue() == (
+        f"invalid input: simplex {tuple(range(40))} is present but its face "
+        "(0,) is missing\n"
+    )

@@ -7,6 +7,7 @@ calls through a wrapper, so no timer is involved.
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 from test_memo import clear_memos
 from torolog import cones, fans, lattice, monoids, morphisms
@@ -23,10 +24,11 @@ from torolog.lattice import mat_identity
 from torolog.monoids import ToricMonoid, exponent_cone, faces, ghost
 from torolog.morphisms import (
     ToricMorphismData,
+    apply_to_point,
     check_morphism,
     normalization_morphism,
 )
-from torolog.rounding import fiber_structure, rounding_report
+from torolog.rounding import ComplexPoint, fiber_structure, rounding_report
 
 HEXAGON = ToricMonoid(
     3, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1))
@@ -37,8 +39,9 @@ def count_calls(monkeypatch, module, name, run):
     """``run()`` on cleared memos: the calls it made to ``module.name``, and
     its result.
 
-    The wrapper replaces the function in every torolog module that imported
-    it by name, so calls from those modules are counted too.
+    The wrapper replaces the function in ``module``, which may be a class,
+    and in every torolog module that imported it by name, so calls from
+    those modules are counted too.
     """
     original = getattr(module, name)
     calls = []
@@ -49,6 +52,7 @@ def count_calls(monkeypatch, module, name, run):
 
     clear_memos()
     with monkeypatch.context() as m:
+        m.setattr(module, name, counted)
         for mod in list(sys.modules.values()):
             if (
                 getattr(mod, "__name__", "").startswith("torolog")
@@ -280,20 +284,37 @@ def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
         "ambient_rank": 3,
         "cones": [e["cone"] for e in entries if e["cone"] is not ray],
     }))
-    original = RationalCone.__hash__
-    calls = []
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    clear_memos()
-    with monkeypatch.context() as m:
-        m.setattr(RationalCone, "__hash__", counted)
-        code = main(["fan", "check", "--input", str(path)])
+    calls, code = count_calls(
+        monkeypatch, RationalCone, "__hash__",
+        lambda: main(["fan", "check", "--input", str(path)]),
+    )
     assert code == 1
     assert capsys.readouterr().out.count("\nmissing-face:") == 3
-    assert len(calls) == 1430
+    assert calls == 1171
+
+
+def test_validating_an_atlas_hashes_each_cone_a_few_times(monkeypatch):
+    # Passing validation reads each cone's maximal cones once, and tests
+    # each face of the maximal cone against the faces its chart certifies;
+    # it intersects no cones and compares each face chart once.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    for g, counts in (
+        (HEXAGON, (252, 0, 13)), (parabola, (2224, 0, 129)),
+    ):
+        for (module, name), expected in zip(
+            ((RationalCone, "__hash__"), (cones, "intersect"),
+             (monoids, "monoid_equal")),
+            counts,
+        ):
+            built, _ = count_calls(
+                monkeypatch, module, name, lambda: affine_atlas(g)
+            )
+            both, report = count_calls(
+                monkeypatch, module, name,
+                lambda: validate_fan_of_monoids(affine_atlas(g)),
+            )
+            assert both - built == expected, name
+            assert report.failures == ()
 
 
 def test_a_hexagon_atlas_with_its_minimal_chart_doubled_rechecks_one_chart(
@@ -396,6 +417,27 @@ def test_saturating_builds_and_checks_no_morphism(
         )
         assert (calls, code) == (0, 0), name
         assert capsys.readouterr().out.endswith("normalization morphism: PASS\n")
+
+
+def test_applying_a_map_to_a_point_searches_once_per_source_generator(
+    monkeypatch,
+):
+    # Each image's witness in the hexagon also says whether it lies on the
+    # point's support edge: a sum lies on a face exactly when each generator
+    # in it does.  So no second search, into the edge, is made.
+    edge = faces(HEXAGON)[7]
+    p = ComplexPoint(HEXAGON, edge, (0.5, 0.25), (0, Fraction(1, 3)))
+    images = [HEXAGON.generators[i] for i in edge.generator_indices + (5,)]
+    free = ToricMonoid(3, mat_identity(3))
+    calls, q = count_calls(
+        monkeypatch, monoids, "membership",
+        lambda: apply_to_point(tuple(zip(*images)), free, p),
+    )
+    assert calls == 3
+    # The first two unit vectors map onto the edge, the third off it.
+    assert {free.generators[i] for i in q.support_face.generator_indices} == {
+        (1, 0, 0), (0, 1, 0),
+    }
 
 
 def _mirrored_containment_tests(monkeypatch, rays):

@@ -557,6 +557,30 @@ def test_morphism_check_rejects_a_radial_log_that_is_not_an_array(
     )
 
 
+@pytest.mark.parametrize("kind", ["rounding", "complex"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_morphism_check_rejects_a_radial_log_that_is_not_finite(
+    tmp_path, capsys, kind, value
+):
+    # Python's JSON reader takes NaN and Infinity, and reads 1e400 as
+    # infinity; none may reach the output, which would not be JSON.
+    atlas = affine_atlas(ToricMonoid(1, ((1,),)))
+    chart = [m.generators for _, m in atlas.entries].index(((1,),))
+    line = json.dumps(fanmon_to_json(atlas))
+    path = tmp_path / "payload.json"
+    path.write_text(
+        f'{{"nu": [["1"]], "source": {line}, "target": {line}, '
+        f'"point": {{"source_chart": {chart}, "target_chart": {chart}, '
+        f'"kind": "{kind}", "face": [0], "radial_log": [{value}], '
+        f'"angle": ["1/2"]}}}}'
+    )
+    for argv in (["morphism", "check"], ["morphism", "check", "--json"]):
+        code = main(argv + ["--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "invalid input: radial data must be finite\n"
+
+
 LINE_ATLAS_JSON = fanmon_to_json(affine_atlas(ToricMonoid(1, ((1,),))))
 
 

@@ -407,6 +407,26 @@ def test_apply_commutes_with_evaluation():
             assert abs(pulled - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+def test_apply_finds_the_support_face_of_the_membership_oracle():
+    # The support is the set of source generators whose images lie in the
+    # support face's monoid, each found by its own membership search.
+    rng = random.Random(137)
+    for _ in range(20):
+        g1 = random_monoid(rng, rng.randint(1, 3))
+        g2 = free_monoid(rng.randint(1, 3))
+        mu = tuple(zip(*[
+            random_member(rng, rng.choice(faces(g1)).monoid)
+            for _ in g2.generators
+        ]))
+        p = random_complex_point(rng, g1)
+        expected = tuple(
+            i for i, v in enumerate(g2.generators)
+            if membership(p.support_face.monoid, mat_vec(mu, v)) is not None
+        )
+        q = apply_to_point(mu, g2, p)
+        assert q.support_face.generator_indices == expected
+
+
 def test_apply_is_functorial():
     rng = random.Random(131)
     for _ in range(10):

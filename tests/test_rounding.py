@@ -737,6 +737,10 @@ FULL_NN = faces(NN)[-1]
      "angles must be real numbers measured in turns"),
     (lambda: RoundingPoint(NN, FULL_NN, (0.0,), (math.inf,)),
      "angles must be finite"),
+    *[(lambda x=x, cls=cls: cls(NN, FULL_NN, (x,), (0,)),
+       "radial data must be finite")
+      for x in (math.nan, math.inf, -math.inf)
+      for cls in (RoundingPoint, ComplexPoint)],
     (lambda: encode_hom(NN, [(1j, 0)]), "radii must be real numbers"),
     (lambda: encode_hom(NN, [(-1, 0)]), "radii must be nonnegative"),
     (lambda: RoundingPoint(NN, FULL_NN, (), (0,)),
