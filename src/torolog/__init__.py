@@ -7,102 +7,20 @@ saturation, fans of monoids with their affine atlases, monoid morphisms, and
 the circle-valued rounding data attached to divisorial log structures --
 ghost monoids, rounding-fiber torus ranks and component counts, and the
 Milnor-fibration bookkeeping for simple-normal-crossings models.
+
+This namespace republishes each module's ``__all__``, which is the one
+declaration of that module's public names; only ``faces`` is defined here.
 """
 
-from torolog.lattice import (
-    AbelianGroupInvariants,
-    det,
-    hnf,
-    hnf_basis,
-    kernel_basis,
-    lattice_rank,
-    mat_identity,
-    mat_mul,
-    mat_vec,
-    pairing,
-    primitive,
-    quotient_invariants,
-    snf,
-    solve_integer,
-    transpose,
-)
-from torolog.cones import (
-    RationalCone,
-    contains,
-    dim,
-    dual_cone,
-    intersect,
-    is_face_of,
-    is_sharp,
-)
-from torolog.cones import faces as _cone_faces
-from torolog.monoids import (
-    GhostReport,
-    MonoidFace,
-    PrimeIdeal,
-    ToricMonoid,
-    edge,
-    exponent_cone,
-    ghost,
-    gp,
-    hilbert_basis,
-    is_saturated,
-    localize,
-    membership,
-    monoid_equal,
-    prime_ideals,
-    saturate,
-    saturation_membership,
-    weight_cone,
-)
-from torolog.monoids import faces as _monoid_faces
-from torolog.fans import (
-    Fan,
-    FanOfMonoids,
-    FanStratum,
-    ValidationFailure,
-    ValidationReport,
-    affine_atlas,
-    normal_fan_of_monoids,
-    strata,
-    validate_fan,
-    validate_fan_of_monoids,
-)
-from torolog.rounding import (
-    ComplexPoint,
-    FiberReport,
-    LogPointDescriptor,
-    LogPointKind,
-    LogStalk,
-    PointStratum,
-    RoundingPoint,
-    associated_log_stalk,
-    base_point,
-    encode_hom,
-    evaluate_monomial,
-    fiber_structure,
-    log_point,
-    milnor_stratum_fiber,
-    monomial_angle,
-    points_of,
-    relative_fiber,
-    rounding_report,
-    strict_restriction_check,
-    tau,
-)
-from torolog.morphisms import (
-    ToricMorphismData,
-    apply_to_point,
-    check_morphism,
-    normalization_morphism,
-)
-from torolog.snc import (
-    DualComplex,
-    MilnorReport,
-    StratumRow,
-    link_report,
-    milnor_report,
-)
+from torolog.lattice import *
+from torolog.cones import *
+from torolog.monoids import *
+from torolog.fans import *
+from torolog.rounding import *
+from torolog.morphisms import *
+from torolog.snc import *
+from torolog.cones import RationalCone, faces as _cone_faces
+from torolog.monoids import ToricMonoid, faces as _monoid_faces
 
 
 def faces(x):

@@ -85,10 +85,12 @@ def _as_int(x, what):
 
 
 def _as_float(x, what):
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what}: {x!r} is not a number") from None
+    if not isinstance(x, bool):
+        try:
+            return float(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{what}: {x!r} is not a number")
 
 
 def _as_array(x, what):

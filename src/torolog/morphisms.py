@@ -63,6 +63,7 @@ class ToricMorphismData:
             )
         if any(not isinstance(x, int) for row in nu for x in row):
             raise ValueError("the matrix entries must be integers")
+        nu = tuple(tuple(map(int, row)) for row in nu)
         return tuple.__new__(cls, (nu, source, target, transpose(nu)))
 
     def __getnewargs__(self):

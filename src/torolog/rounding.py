@@ -45,7 +45,6 @@ from .monoids import (
 
 __all__ = [
     "ComplexPoint",
-    "FiberReport",
     "LogPointDescriptor",
     "LogPointKind",
     "LogStalk",

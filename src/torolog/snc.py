@@ -14,7 +14,8 @@ multiplicities.
 from itertools import chain
 
 from .lattice import AbelianGroupInvariants, _integral, record
-from .rounding import FiberReport, milnor_stratum_fiber
+from .monoids import FiberReport
+from .rounding import milnor_stratum_fiber
 
 __all__ = [
     "DualComplex",

@@ -605,6 +605,14 @@ def line_morphism(**point):
      "target chart 9 is out of range"),
     (["morphism", "check"], line_morphism(kind="polar"),
      "unknown point kind 'polar'"),
+    # JSON ``true`` is no number, though Python's float() takes it.
+    (["round", "fiber"],
+     {"monoid": NN2_JSON, "face": [0], "images": [[True, 0], [0.0, "0"]]},
+     "radius: True is not a number"),
+    (["morphism", "check"],
+     line_morphism(source_chart=1, target_chart=1, face=[0],
+                   radial_log=[True], angle=["1/2"]),
+     "radial_log: True is not a number"),
 ])
 def test_malformed_point_requests_end_in_exit_2(
     tmp_path, capsys, argv, payload, message

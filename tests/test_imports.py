@@ -5,7 +5,8 @@ should not pull in heavy standard modules it does not use, and it should
 leave every module in place for the benchmark tracer.  Each check runs in a
 fresh interpreter, so the modules this test process loaded do not count.
 No module imports a name it never uses, so a deletion leaves no dead import
-behind.
+behind.  Each public name is declared once, in its module's ``__all__``, and
+the package namespace republishes those lists.
 """
 
 import ast
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import torolog
 
@@ -80,7 +82,8 @@ def unused_imports(source):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(
-                (a.asname or a.name).split(".")[0] for a in node.names
+                (a.asname or a.name).split(".")[0]
+                for a in node.names if a.name != "*"
             )
         elif isinstance(node, ast.Name):
             used.add(node.id)
@@ -92,17 +95,66 @@ def unused_imports(source):
 
 
 def test_unused_imports_are_found():
-    source = "import os, sys\nfrom math import gcd as g, tau\n__all__ = ['tau']\nsys\n"
+    source = (
+        "import os, sys\nfrom math import gcd as g, tau\nfrom cmath import *\n"
+        "__all__ = ['tau']\nsys\n"
+    )
     assert unused_imports(source) == ["g", "os"]
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # ``__init__`` imports only to export, so it is not checked.
     package = os.path.dirname(os.path.abspath(torolog.__file__))
     found = {}
     for name in sorted(os.listdir(package)):
-        if name.endswith(".py") and name != "__init__.py":
+        if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 if names := unused_imports(fh.read()):
                     found[name] = names
     assert found == {}
+
+
+MODULES = ("lattice", "cones", "monoids", "fans", "rounding", "morphisms", "snc")
+
+# The package's public names: every name in the modules' ``__all__`` lists.
+SURFACE = {
+    "AbelianGroupInvariants", "ComplexPoint", "DualComplex", "Fan",
+    "FanOfMonoids", "FanStratum", "FiberReport", "GhostReport", "IntMat",
+    "IntVec", "LogPointDescriptor", "LogPointKind", "LogStalk", "MilnorReport",
+    "MonoidFace", "PointStratum", "PrimeIdeal", "RationalCone",
+    "RoundingPoint", "StratumRow", "ToricMonoid", "ToricMorphismData",
+    "ValidationFailure", "ValidationReport", "affine_atlas", "apply_to_point",
+    "associated_log_stalk", "base_point", "check_morphism", "contains", "det",
+    "dim", "dual_cone", "edge", "encode_hom", "evaluate_monomial",
+    "exponent_cone", "faces", "fiber_structure", "ghost", "gp",
+    "hilbert_basis", "hnf", "hnf_basis", "intersect", "is_face_of",
+    "is_saturated", "is_sharp", "kernel_basis", "lattice_rank", "link_report",
+    "localize", "log_point", "mat_identity", "mat_mul", "mat_vec",
+    "membership", "milnor_report", "milnor_stratum_fiber", "monoid_equal",
+    "monomial_angle", "normal_fan_of_monoids", "normalization_morphism",
+    "pairing", "points_of", "prime_ideals", "primitive",
+    "quotient_invariants", "relative_fiber", "rounding_report", "saturate",
+    "saturation_membership", "snf", "solve_integer", "strata",
+    "strict_restriction_check", "tau", "transpose", "validate_fan",
+    "validate_fan_of_monoids", "weight_cone",
+}
+
+
+def test_the_package_republishes_each_public_name_from_its_one_module():
+    public = {
+        k for k, v in vars(torolog).items()
+        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert len(SURFACE) == 81 and public == SURFACE
+    owners = {}
+    for mod in MODULES:
+        for name in getattr(torolog, mod).__all__:
+            owners.setdefault(name, []).append(mod)
+    assert set(owners) == SURFACE
+    assert {k: v for k, v in owners.items() if len(v) > 1} == {
+        "faces": ["cones", "monoids"],
+    }
+    for name, mods in owners.items():
+        if name != "faces":
+            owner = getattr(torolog, mods[0])
+            assert getattr(torolog, name) is getattr(owner, name)
+    assert torolog.faces.__module__ == "torolog"

@@ -174,3 +174,7 @@ def test_morphism_data_checks_its_matrix():
         ToricMorphismData([[1.0]], ATLAS, ATLAS)
     d = ToricMorphismData([[2]], ATLAS, ATLAS)
     assert (d.nu, d.nu_dual) == (((2,),), ((2,),))
+
+    # Booleans pass the integer check, and are stored as the ints they are.
+    d = ToricMorphismData([[True]], ATLAS, ATLAS)
+    assert repr(d) == repr(ToricMorphismData([[1]], ATLAS, ATLAS))
