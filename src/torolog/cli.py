@@ -496,10 +496,9 @@ def _cmd_morphism_check(payload, args):
     if code == 0 and request is not None:
         i = _as_int(_field(request, "source_chart", "point"), "source_chart")
         j = _as_int(_field(request, "target_chart", "point"), "target_chart")
-        if not 0 <= i < len(d.source.entries):
-            raise InputError(f"source chart {i} is out of range")
-        if not 0 <= j < len(d.target.entries):
-            raise InputError(f"target chart {j} is out of range")
+        for side, k, fm in (("source", i, d.source), ("target", j, d.target)):
+            if not 0 <= k < len(fm.entries):
+                raise InputError(f"{side} chart {k} is out of range")
         kind = request.get("kind", "rounding")
         if kind not in ("rounding", "complex"):
             raise InputError(f"unknown point kind {kind!r}")
@@ -707,7 +706,7 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read input: {e}", file=sys.stderr)
         return 2
     try:

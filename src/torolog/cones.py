@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from torolog.lattice import (
     _integral,
+    _rank,
     hnf_basis,
     kernel_basis,
     lattice_rank,
@@ -179,8 +180,7 @@ def _canonical_form(d, generators):
 
 def _checked(d, generators):
     """``generators`` as integer tuples, checked as those of a cone in Z^d."""
-    if d < 0:
-        raise ValueError(f"ambient rank {d} is negative")
+    _rank(d)
     gens = tuple(tuple(map(_integral, v)) for v in generators)
     if any(len(v) != d for v in gens):
         raise ValueError("generator length does not match the ambient rank")
@@ -322,16 +322,19 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     return tuple(f for _, f in keyed)
 
 
-def is_face_of(f: RationalCone, c: RationalCone) -> bool:
-    if f.ambient_rank != c.ambient_rank:
+def _same_rank(a: RationalCone, b: RationalCone):
+    if a.ambient_rank != b.ambient_rank:
         raise ValueError("cones live in different ambient ranks")
+
+
+def is_face_of(f: RationalCone, c: RationalCone) -> bool:
+    _same_rank(f, c)
     return f in faces(c)
 
 
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
     """Intersection, computed by merging the two facet systems."""
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("cones live in different ambient ranks")
+    _same_rank(a, b)
     da, db = dual_cone(a), dual_cone(b)
     constraints = da.rays + db.rays + tuple(
         v for l in da.lineality + db.lineality for v in (l, _neg(l))

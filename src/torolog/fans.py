@@ -20,7 +20,7 @@ from .cones import (
     is_sharp,
 )
 from .cones import faces as cone_faces
-from .lattice import _integral, mat_identity, memo, pairing, record
+from .lattice import _rank, mat_identity, memo, pairing, record
 from .monoids import (
     FiberReport,
     GhostReport,
@@ -77,9 +77,7 @@ class Fan:
     cones: tuple
 
     def __new__(cls, ambient_rank, cones):
-        ambient_rank = _integral(ambient_rank)
-        if ambient_rank < 0:
-            raise ValueError(f"ambient rank {ambient_rank} is negative")
+        ambient_rank = _rank(ambient_rank)
         seen = set()
         for c in cones:
             if not isinstance(c, RationalCone):
@@ -106,9 +104,7 @@ class FanOfMonoids:
     entries: tuple
 
     def __new__(cls, exponent_rank, entries):
-        exponent_rank = _integral(exponent_rank)
-        if exponent_rank < 0:
-            raise ValueError(f"rank {exponent_rank} is negative")
+        exponent_rank = _rank(exponent_rank, "rank")
         cleaned = []
         for cone, monoid in entries:
             if not isinstance(cone, RationalCone) or not isinstance(

@@ -83,6 +83,22 @@ def _integral(x) -> int:
     return n
 
 
+def _rank(x, what="ambient rank") -> int:
+    """``x`` as an int, refusing a negative rank."""
+    n = _integral(x)
+    if n < 0:
+        raise ValueError(f"{what} {n} is negative")
+    return n
+
+
+def _int_rows(m) -> IntMat:
+    """The rows of ``m`` with each entry an int, refusing any entry that is
+    not one; a boolean entry is read as 0 or 1."""
+    if any(not isinstance(x, int) for row in m for x in row):
+        raise ValueError("the matrix entries must be integers")
+    return tuple(tuple(map(int, row)) for row in m)
+
+
 def mat_identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 

@@ -15,6 +15,7 @@ from .lattice import (
     AbelianGroupInvariants,
     IntMat,
     _integral,
+    _rank,
     hnf_basis,
     mat_identity,
     mat_vec,
@@ -61,9 +62,7 @@ class ToricMonoid:
     __slots__ = ("ambient_rank", "generators")
 
     def __init__(self, ambient_rank, generators):
-        ambient_rank = _integral(ambient_rank)
-        if ambient_rank < 0:
-            raise ValueError(f"ambient rank {ambient_rank} is negative")
+        ambient_rank = _rank(ambient_rank)
         cleaned = set()
         for v in generators:
             v = tuple(map(_integral, v))
@@ -229,13 +228,11 @@ def membership(g: ToricMonoid, m) -> "tuple | None":
     None; the all-zero witness for ``m = 0`` is a valid return value.
     """
     m = tuple(map(_integral, m))
-    if len(m) != g.ambient_rank:
-        raise ValueError(f"point {m!r} does not have length {g.ambient_rank}")
+    if not saturation_membership(g, m):
+        return None  # outside the cone or the generated group
     witness = [0] * len(g.generators)
     if not any(m):
         return tuple(witness)
-    if not contains(exponent_cone(g), m) or _coordinates(g, m) is None:
-        return None  # outside the cone or the generated group
 
     unit_idx, sharp_idx, w, unit_columns, relieve = _splitting(g)
     sharp = [(i, g.generators[i], pairing(w, g.generators[i])) for i in sharp_idx]
@@ -332,14 +329,12 @@ def prime_ideals(g: ToricMonoid) -> tuple:
 
 
 def saturation_membership(g: ToricMonoid, m) -> bool:
-    """Whether ``m`` lies in the saturation: in the generated group and in
-    the exponent cone."""
+    """Whether ``m`` lies in the saturation: in the exponent cone and in
+    the generated group."""
     m = tuple(map(_integral, m))
     if len(m) != g.ambient_rank:
         raise ValueError(f"point {m!r} does not have length {g.ambient_rank}")
-    if _coordinates(g, m) is None:
-        return False
-    return contains(exponent_cone(g), m)
+    return contains(exponent_cone(g), m) and _coordinates(g, m) is not None
 
 
 def hilbert_basis(cone: RationalCone) -> tuple:

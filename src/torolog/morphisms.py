@@ -18,7 +18,7 @@ from .fans import (
     affine_atlas,
     validate_fan_of_monoids,
 )
-from .lattice import mat_identity, mat_vec, record, transpose
+from .lattice import _int_rows, mat_identity, mat_vec, record, transpose
 from .monoids import (
     ToricMonoid,
     _coordinates,
@@ -27,7 +27,7 @@ from .monoids import (
     membership,
     saturate,
 )
-from .rounding import ComplexPoint, RoundingPoint, _angle, _combine
+from .rounding import RoundingPoint, _angle
 
 __all__ = [
     "ToricMorphismData",
@@ -61,9 +61,7 @@ class ToricMorphismData:
             raise ValueError(
                 "the matrix must have one column per source coordinate"
             )
-        if any(not isinstance(x, int) for row in nu for x in row):
-            raise ValueError("the matrix entries must be integers")
-        nu = tuple(tuple(map(int, row)) for row in nu)
+        nu = _int_rows(nu)
         return tuple.__new__(cls, (nu, source, target, transpose(nu)))
 
     def __getnewargs__(self):
@@ -186,23 +184,20 @@ def apply_to_point(mu, g2: ToricMonoid, p):
         if all(j in f1.generator_indices for j, c in enumerate(witness) if c):
             support.append(i)
     f2 = _face_with_indices(g2, tuple(support))
-    polar = isinstance(p, RoundingPoint)
-    coords, full = [], []
+    coords, angle = [], []
     if f2 is not None:
         coords = [
             _coordinates(f1.monoid, mat_vec(mu, b)) for b in gp(f2.monoid)
         ]
-        if polar:
-            full = [_angle(p, mat_vec(mu, b)) for b in gp(g2)]
+        rounding = isinstance(p, RoundingPoint)
+        angle = [_angle(p, mat_vec(mu, b))
+                 for b in gp(g2 if rounding else f2.monoid)]
     # A monoid map pulls the support face back to a face, and carries that
     # face's group and the whole group into the point's.
-    if f2 is None or None in coords + full:  # pragma: no cover
+    if f2 is None or None in coords + angle:  # pragma: no cover
         raise ValueError(
             "the monoid map does not carry the preimage of the support face "
             "and the source group into the point's groups"
         )
     radial = [sum(c * x for c, x in zip(cs, p.radial_log)) for cs in coords]
-    if polar:
-        return RoundingPoint(g2, f2, radial, full)
-    angle = [_combine(cs, p.angle) for cs in coords]
-    return ComplexPoint(g2, f2, radial, angle)
+    return type(p)(g2, f2, radial, angle)

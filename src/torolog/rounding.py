@@ -22,6 +22,7 @@ from numbers import Rational
 from .fans import FanOfMonoids, strata
 from .lattice import (
     AbelianGroupInvariants,
+    _int_rows,
     hnf,
     mat_identity,
     quotient_invariants,
@@ -234,13 +235,8 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
     theta = tuple(_normalize_angle(_combine(c, angles)) for c in combos)
     for coords, a in zip(gen_coords, angles):
         delta = _combine(coords, theta) - a
-        if isinstance(delta, Fraction):
-            if delta % 1 != 0:
-                raise ValueError(
-                    "the angles violate an additive relation among the "
-                    "generators"
-                )
-        elif abs(delta - round(delta)) > _RELATIVE_TOLERANCE:
+        if (delta % 1 != 0 if isinstance(delta, Fraction)
+                else abs(delta - round(delta)) > _RELATIVE_TOLERANCE):
             raise ValueError(
                 "the angles violate an additive relation among the generators"
             )
@@ -272,15 +268,21 @@ def _angle(p, m):
     return None if coords is None else _combine(coords, p.angle)
 
 
+def _element(g: ToricMonoid, m):
+    """``m`` as a tuple, refusing a point off the monoid."""
+    m = tuple(m)
+    if membership(g, m) is None:
+        raise ValueError(f"{m} is not an element of the monoid")
+    return m
+
+
 def monomial_angle(p, m):
     """The angle (in turns, modulo one) of the monomial ``m`` at ``p``.
 
     For a rounding point the full character applies to every element; for a
     complex point the angle only exists where the monomial does not vanish.
     """
-    m = tuple(m)
-    if membership(p.monoid, m) is None:
-        raise ValueError(f"{m} is not an element of the monoid")
+    m = _element(p.monoid, m)
     turn = _angle(p, m)
     if turn is None:
         raise ValueError(f"{m} vanishes at the point and carries no angle")
@@ -293,9 +295,7 @@ def evaluate_monomial(p, m):
     Rounding points return a ``(radius, unit)`` pair with the unit on the
     complex circle; complex points return a single complex number.
     """
-    m = tuple(m)
-    if membership(p.monoid, m) is None:
-        raise ValueError(f"{m} is not an element of the monoid")
+    m = _element(p.monoid, m)
     coords = _coordinates(p.support_face.monoid, m)
     polar = isinstance(p, RoundingPoint)
     if coords is None and not polar:
@@ -303,9 +303,7 @@ def evaluate_monomial(p, m):
     radius = 0.0 if coords is None else math.exp(
         sum(c * x for c, x in zip(coords, p.radial_log))
     )
-    # A complex point's character is read on the face group, at ``coords``.
-    turn = _angle(p, m) if polar else _combine(coords, p.angle)
-    unit = cmath.exp(2j * math.pi * float(_normalize_angle(turn)))
+    unit = cmath.exp(2j * math.pi * float(_normalize_angle(_angle(p, m))))
     return (radius, unit) if polar else radius * unit
 
 
@@ -355,8 +353,7 @@ def relative_fiber(mu_gp, f1: MonoidFace) -> FiberReport:
     widths = {len(row) for row in mu}
     if len(widths) > 1:
         raise ValueError("the matrix rows have unequal lengths")
-    if any(not isinstance(x, int) for row in mu for x in row):
-        raise ValueError("the matrix entries must be integers")
+    mu = _int_rows(mu)
     phi = gp(f1.monoid)
     rows = tuple(
         tuple(b[i] for b in phi) + mu[i] for i in range(d1)
@@ -414,10 +411,7 @@ class LogStalk:
 
     def class_of(self, m):
         """The transversal representative of the class of ``m``."""
-        m = tuple(m)
-        if membership(self.monoid, m) is None:
-            raise ValueError(f"{m} is not an element of the monoid")
-        return self._reduce(m)
+        return self._reduce(_element(self.monoid, m))
 
     def multiply(self, m1, m2):
         """Normal form of a product: ``(twist, representative)``.
@@ -425,10 +419,7 @@ class LogStalk:
         The twist is the face-group element by whose evaluation the unit
         part multiplies when the product is rewritten on the transversal.
         """
-        m1, m2 = tuple(m1), tuple(m2)
-        for m in (m1, m2):
-            if membership(self.monoid, m) is None:
-                raise ValueError(f"{m} is not an element of the monoid")
+        m1, m2 = _element(self.monoid, m1), _element(self.monoid, m2)
         total = tuple(a + b for a, b in zip(m1, m2))
         rep = self._reduce(total)
         twist = tuple(a - b for a, b in zip(total, rep))
@@ -506,14 +497,12 @@ def points_of(g: ToricMonoid, kind) -> tuple:
     """
     kind = LogPointKind(kind)
     trivial = FiberReport.of(AbelianGroupInvariants(0, ()))
-    if kind is LogPointKind.POLAR:
+    polar = kind is LogPointKind.POLAR
+    if polar or kind is LogPointKind.EMPTY:
         return tuple(
-            PointStratum(f, len(gp(f.monoid)), fiber_structure(g, f))
+            PointStratum(f, len(gp(f.monoid)),
+                         fiber_structure(g, f) if polar else trivial)
             for f in faces(g)
-        )
-    if kind is LogPointKind.EMPTY:
-        return tuple(
-            PointStratum(f, len(gp(f.monoid)), trivial) for f in faces(g)
         )
     if kind is LogPointKind.TRIVIAL:
         full = faces(g)[-1]

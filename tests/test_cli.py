@@ -133,6 +133,22 @@ def test_unreadable_input_path(capsys, tmp_path):
     assert "cannot read input" in err
 
 
+def test_input_that_is_not_utf8_cannot_be_read(capsys, tmp_path, monkeypatch):
+    data = json.dumps(QUADRANT_JSON).encode() + b"\xff"
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    expected = (
+        f"cannot read input: 'utf-8' codec can't decode byte 0xff in position "
+        f"{len(data) - 1}: invalid start byte\n"
+    )
+    argv = ["cone", "dual", "--input", str(path)]
+    assert invoke(capsys, argv) == (2, "", expected)
+    # Standard input read strictly, as under PYTHONIOENCODING=utf-8:strict.
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert invoke(capsys, ["cone", "dual"]) == (2, "", expected)
+
+
 def test_stdin_is_the_default_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NUMERICAL_JSON)))
     code, out, _ = invoke(capsys, ["monoid", "saturate", "--json"])

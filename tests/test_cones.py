@@ -105,6 +105,11 @@ def test_cones_are_usable_as_dict_keys():
     assert d[RationalCone(2, ((0, 1), (1, 0)))] == "a"
 
 
+def test_a_cone_equals_no_value_of_another_type():
+    assert QUADRANT != QUADRANT.rays
+    assert QUADRANT != (2, QUADRANT.rays, QUADRANT.lineality)
+
+
 # ---------------------------------------------------------------------------
 # Duality goldens
 # ---------------------------------------------------------------------------

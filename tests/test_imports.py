@@ -5,7 +5,8 @@ should not pull in heavy standard modules it does not use, and it should
 leave every module in place for the benchmark tracer.  Each check runs in a
 fresh interpreter, so the modules this test process loaded do not count.
 No module imports a name it never uses, so a deletion leaves no dead import
-behind.  Each public name is declared once, in its module's ``__all__``, and
+behind, and no two refusals share a message, so each check is made in one
+place.  Each public name is declared once, in its module's ``__all__``, and
 the package namespace republishes those lists.
 """
 
@@ -111,6 +112,59 @@ def test_no_module_imports_a_name_it_never_uses():
                 if names := unused_imports(fh.read()):
                     found[name] = names
     assert found == {}
+
+
+def message_templates(node):
+    """The templates a message expression can take: an f-string placeholder,
+    or any part that is not a string literal, reads ``{}``, and both
+    branches of a conditional message count."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(v.value if isinstance(v, ast.Constant) else "{}"
+                        for v in node.values)]
+    if isinstance(node, ast.IfExp):
+        return message_templates(node.body) + message_templates(node.orelse)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return [a + b for a in message_templates(node.left)
+                for b in message_templates(node.right)]
+    return ["{}"]
+
+
+def refusals(source):
+    """``(line, template)`` for each message template of each ``raise
+    ValueError(...)`` or ``raise InputError(...)`` in a module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        call = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in (
+            "ValueError", "InputError"
+        ):
+            templates = message_templates(call.args[0]) if call.args else [""]
+            out.extend((node.lineno, t) for t in set(templates))
+    return sorted(out)
+
+
+def test_refusal_templates_are_read_from_the_syntax_tree():
+    source = (
+        "def f(x, y):\n"
+        "    if x:\n"
+        "        raise ValueError(f'{x} is bad')\n"
+        "    raise InputError('a ' + str(y) if y else f'{y} is bad')\n"
+        "raise KeyError('not a refusal')\n"
+    )
+    assert refusals(source) == [(3, "{} is bad"), (4, "a {}"), (4, "{} is bad")]
+
+
+def test_no_two_refusals_share_a_message():
+    package = os.path.dirname(os.path.abspath(torolog.__file__))
+    sites = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                for line, template in refusals(fh.read()):
+                    sites.setdefault(template, []).append(f"{name}:{line}")
+    assert {t: s for t, s in sites.items() if len(s) > 1} == {}
 
 
 MODULES = ("lattice", "cones", "monoids", "fans", "rounding", "morphisms", "snc")

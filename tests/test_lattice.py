@@ -166,12 +166,14 @@ def test_quotient_by_single_even_vector():
     inv = quotient_invariants(2, (((2,), (0,))))
     assert inv.rank == 1
     assert inv.torsion == (2,)
+    assert not inv.is_free
 
 
 def test_quotient_by_nothing_is_free():
     inv = quotient_invariants(2, ((), ()))
     assert inv.rank == 2
     assert inv.torsion == ()
+    assert inv.is_free
 
 
 def test_quotient_by_full_basis_is_trivial():
@@ -295,6 +297,12 @@ def test_primitive_zero_vector_rejected():
 # ---------------------------------------------------------------------------
 # Solver helpers used across modules
 # ---------------------------------------------------------------------------
+
+def test_det_of_the_empty_matrix_is_one_and_of_a_singular_one_zero():
+    assert det(()) == 1
+    # No entry below the zero corner is nonzero, so no row swap can help.
+    assert det(((0, 1), (0, 2))) == 0
+
 
 def test_solve_integer_finds_exact_solution():
     # columns (2,1),(1,1): solve for (5,3) -> x = (2,1).

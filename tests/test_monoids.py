@@ -582,8 +582,10 @@ def test_saturation_membership_respects_the_group():
     # no solution in the monoid itself.
     assert saturation_membership(TORSION, (1, 0))
     assert membership(TORSION, (1, 0)) is None
-    # (1,1) with a half: outside the group? (1,2) is inside cone and group.
+    # (1,2) is inside cone and group.
     assert saturation_membership(TORSION, (1, 2))
+    # (1,0) is inside the cone of 2N x N but outside its group 2Z x Z.
+    assert not saturation_membership(ToricMonoid(2, ((2, 0), (0, 1))), (1, 0))
 
 
 def test_saturation_membership_refuses_a_point_of_another_rank():
@@ -1022,6 +1024,12 @@ def test_monoid_equal_ignores_redundant_generators():
 
 def test_monoid_equal_distinguishes_different_monoids():
     assert not monoid_equal(NN2, Z_CROSS_N)
+    assert not monoid_equal(NUMERICAL, NN2)
+
+
+def test_a_monoid_equals_no_value_of_another_type():
+    assert NN2 != NN2.generators
+    assert NN2 != (2, NN2.generators)
 
 
 def test_monoid_equal_is_reflexive():
