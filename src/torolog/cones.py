@@ -108,7 +108,9 @@ def _dual_description(d, constraints):
             for p, tp in plus:
                 for n, tn in minus:
                     common = tp & tn
-                    adjacent = not any(
+                    # Adjacent: the face tight on common has dimension
+                    # len(lin) + 2, so common has rank d - len(lin) - 2.
+                    adjacent = len(common) >= d - len(lin) - 2 and not any(
                         common <= tq for q, tq in rays if q != p and q != n
                     )
                     if adjacent:

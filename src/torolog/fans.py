@@ -124,7 +124,9 @@ class FanOfMonoids:
         return tuple.__new__(cls, (exponent_rank, tuple(unique)))
 
     def fan(self) -> Fan:
-        return Fan(self.exponent_rank, tuple(c for c, _ in self.entries))
+        # The entries are checked and sorted by _cone_key, so their distinct
+        # cones, in order, are already the cones of the Fan.
+        return tuple.__new__(Fan, (self.exponent_rank, tuple(dict(self.entries))))
 
     def __repr__(self):
         return f"FanOfMonoids({self.exponent_rank}, {self.entries})"

@@ -12,8 +12,12 @@ The two normal forms drive everything else:
 * ``snf`` -- Smith form ``u @ m @ v == s``, used to read off the isomorphism
   type of a finitely generated abelian group presented by generators.
 
-Both are memoized by the value of the matrix, so every caller factors a
-given matrix once.  ``memo`` is the one cache policy of the package.
+Each form runs its elimination once, on one working matrix: ``m`` with the
+identity appended, as extra columns for Hermite and as extra rows and
+columns for Smith, so every step updates the transforms with the matrix
+(Cohen, *A Course in Computational Algebraic Number Theory*, §2.4).  Both
+are memoized by the value of the matrix, so every caller factors a given
+matrix once.  ``memo`` is the one cache policy of the package.
 """
 
 from __future__ import annotations
@@ -92,11 +96,8 @@ def _rank(x, what="ambient rank") -> int:
 
 
 def _int_rows(m) -> IntMat:
-    """The rows of ``m`` with each entry an int, refusing any entry that is
-    not one; a boolean entry is read as 0 or 1."""
-    if any(not isinstance(x, int) for row in m for x in row):
-        raise ValueError("the matrix entries must be integers")
-    return tuple(tuple(map(int, row)) for row in m)
+    """The rows of ``m`` with each entry read by ``_integral``."""
+    return tuple(tuple(map(_integral, row)) for row in m)
 
 
 def mat_identity(n: int) -> IntMat:
@@ -168,10 +169,10 @@ def hnf(m: IntMat) -> tuple[IntMat, IntMat]:
 def _hnf(m):
     rows = len(m)
     cols = len(m[0]) if m else 0
-    # Work with explicit column lists; u starts as the identity and receives
-    # exactly the column operations applied to w, preserving m @ u == w.
-    w = [[m[i][j] for i in range(rows)] for j in range(cols)]
-    u = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    # Working column j is column j of m over column j of the identity, so each
+    # column operation keeps m @ u == h between the two blocks.
+    w = [[m[i][j] for i in range(rows)] + [int(i == j) for i in range(cols)]
+         for j in range(cols)]
     col = 0
     for row in range(rows):
         if col == cols:
@@ -181,37 +182,27 @@ def _hnf(m):
             # Euclid across the row: smallest entry to the front, fold the
             # rest down by floored quotients.  min-abs strictly decreases.
             j0 = min(live, key=lambda j: abs(w[j][row]))
-            if j0 != col:
-                w[col], w[j0] = w[j0], w[col]
-                u[col], u[j0] = u[j0], u[col]
+            w[col], w[j0] = w[j0], w[col]
             p = w[col][row]
             for j in range(col + 1, cols):
-                if w[j][row]:
-                    q = w[j][row] // p
-                    if q:
-                        w[j] = [x - q * y for x, y in zip(w[j], w[col])]
-                        u[j] = [x - q * y for x, y in zip(u[j], u[col])]
+                if q := w[j][row] // p:
+                    w[j] = [x - q * y for x, y in zip(w[j], w[col])]
             live = [j for j in range(col, cols) if w[j][row] != 0]
         if not live:
             continue
-        if live[0] != col:
-            w[col], w[live[0]] = w[live[0]], w[col]
-            u[col], u[live[0]] = u[live[0]], u[col]
+        w[col], w[live[0]] = w[live[0]], w[col]
         if w[col][row] < 0:
             w[col] = [-x for x in w[col]]
-            u[col] = [-x for x in u[col]]
         p = w[col][row]
         for j in range(col):
             # Columns left of the pivot are zero above this row at their own
             # pivot positions, so this cannot disturb earlier reductions.
-            q = w[j][row] // p
-            if q:
+            if q := w[j][row] // p:
                 w[j] = [x - q * y for x, y in zip(w[j], w[col])]
-                u[j] = [x - q * y for x, y in zip(u[j], u[col])]
         col += 1
     h = tuple(tuple(w[j][i] for j in range(cols)) for i in range(rows))
-    ut = tuple(tuple(u[j][i] for j in range(cols)) for i in range(cols))
-    return h, ut
+    u = tuple(tuple(w[j][i] for j in range(cols)) for i in range(rows, rows + cols))
+    return h, u
 
 
 def snf(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -230,30 +221,12 @@ def snf(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
 def _snf(m):
     rows = len(m)
     cols = len(m[0]) if m else 0
-    a = [list(r) for r in m]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for r in a:
-            r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
-
-    def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
+    # Each row of m followed by the matching identity row (the u block), then
+    # cols identity rows (the v block): a row operation among the first rows
+    # rows updates a and u together, and a column operation among the first
+    # cols columns updates a and v together.
+    a = [list(r) + [int(i == j) for j in range(rows)] for i, r in enumerate(m)]
+    a += [[int(i == j) for j in range(cols)] for i in range(cols)]
     for t in range(min(rows, cols)):
         while True:
             entries = [
@@ -262,20 +235,21 @@ def _snf(m):
             if not entries:
                 break
             pi, pj = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
-            if pi != t:
-                row_swap(t, pi)
+            a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                col_swap(t, pj)
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
             p = a[t][t]
             clean = True
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    row_op(i, t, a[i][t] // p)
+                if q := a[i][t] // p:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
                         clean = False
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    col_op(j, t, a[t][j] // p)
+                if q := a[t][j] // p:
+                    for r in a:
+                        r[j] -= q * r[t]
                     if a[t][j]:
                         clean = False
             if not clean:
@@ -287,12 +261,12 @@ def _snf(m):
                     break
             if offender is None:
                 break
-            row_op(t, offender, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    s = tuple(tuple(r) for r in a)
-    return s, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+    s = tuple(tuple(r[:cols]) for r in a[:rows])
+    u = tuple(tuple(r[cols:]) for r in a[:rows])
+    return s, u, tuple(tuple(r) for r in a[rows:])
 
 
 def hnf_basis(vectors) -> tuple[IntVec, ...]:

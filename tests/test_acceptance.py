@@ -5,6 +5,7 @@ failure reports) and enforces its wall-clock budget.  Randomized criteria use
 fixed seeds so the corpus is identical on every run.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -465,6 +466,28 @@ def test_criterion_a_19_cone_normal_fan_of_monoids_validates_quickly():
     with criterion("the seed-73 rank-3 normal fan of monoids validates", 1.0):
         assert len(fm.entries) == 19
         assert validate_fan_of_monoids(fm).ok
+
+
+def test_criterion_cone_dual_of_the_cyclic_cone_5_32(tmp_path):
+    # The cone over the cyclic polytope spanned by (1, t, t^2, t^3, t^4) for
+    # t = 1..32 has 464 facets.  Without the rank filter on plus/minus pairs
+    # its double description took about 0.5 s on a 2-vCPU machine, with it
+    # about 0.1 s.  The digest pins the output printed before the filter.
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({
+        "ambient_rank": 5,
+        "rays": [[t ** k for k in range(5)] for t in range(1, 33)],
+    }))
+    clear_memos()
+    out = io.StringIO()
+    with criterion("cone dual of the cyclic cone (5, 32)", 0.3):
+        with redirect_stdout(out):
+            code = main(["cone", "dual", "--json", "--input", str(path)])
+    assert code == 0
+    assert len(json.loads(out.getvalue())["rays"]) == 464
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "00d43d137dd4b6e90c9ec6476d1482ac598063e198245a4d5819d8c3acc67ad5"
+    )
 
 
 def test_criterion_a_strict_40_vertex_simplex_is_rejected_at_its_first_face(

@@ -29,7 +29,9 @@ from torolog.cones import (
     is_face_of,
     is_sharp,
 )
-from torolog.lattice import hnf_basis, kernel_basis, lattice_rank, primitive
+from torolog.lattice import (
+    hnf_basis, kernel_basis, lattice_rank, pairing, primitive,
+)
 
 QUADRANT = RationalCone(2, ((1, 0), (0, 1)))
 UPPER_HALF_PLANE = RationalCone(2, ((1, 0), (-1, 0), (0, 1)))
@@ -585,3 +587,95 @@ def test_one_pass_normal_forms_match_the_two_pass_oracle():
             assert (dual.rays, dual.lineality) == expected
             assert dual_of(dual) == x
     assert with_lineality >= 60
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the double description pass that scans every plus/minus pair
+# ---------------------------------------------------------------------------
+
+def scanning_dual_description(d, constraints):
+    """``_dual_description`` without the rank filter: every plus/minus pair
+    is tested for adjacency by the combinatorial scan alone."""
+    lin = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = []
+    processed = 0
+    for g in constraints:
+        g = tuple(g)
+        if not any(g):
+            continue
+        idx = processed
+        pos = next((k for k, v in enumerate(lin) if pairing(g, v)), None)
+        if pos is not None:
+            v0 = lin.pop(pos)
+            if pairing(g, v0) < 0:
+                v0 = _neg(v0)
+            a = pairing(g, v0)
+            lin = [
+                w
+                if not pairing(g, w)
+                else primitive(
+                    tuple(a * wi - pairing(g, w) * vi for wi, vi in zip(w, v0))
+                )
+                for w in lin
+            ]
+            new_rays = []
+            for r, tight in rays:
+                c = pairing(g, r)
+                if c == 0:
+                    new_rays.append((r, tight | {idx}))
+                else:
+                    proj = tuple(a * ri - c * vi for ri, vi in zip(r, v0))
+                    if any(proj):
+                        new_rays.append((primitive(proj), tight | {idx}))
+            new_rays.append((v0, frozenset(range(idx))))
+            rays = new_rays
+        else:
+            plus = [(r, t) for r, t in rays if pairing(g, r) > 0]
+            zero = [(r, t | {idx}) for r, t in rays if pairing(g, r) == 0]
+            minus = [(r, t) for r, t in rays if pairing(g, r) < 0]
+            combos = []
+            for p, tp in plus:
+                for n, tn in minus:
+                    common = tp & tn
+                    adjacent = not any(
+                        common <= tq for q, tq in rays if q != p and q != n
+                    )
+                    if adjacent:
+                        w = tuple(
+                            pairing(g, p) * ni - pairing(g, n) * pi
+                            for pi, ni in zip(p, n)
+                        )
+                        combos.append((primitive(w), common | {idx}))
+            rays = plus + zero + combos
+        processed += 1
+    return lin, [r for r, _ in rays]
+
+
+def cyclic_generators(d, n):
+    """The rays (1, t, ..., t^(d-1)) for t = 1..n of the cyclic cone (d, n):
+    the cone over a cyclic polytope, with many facets."""
+    return [tuple(t ** k for k in range(d)) for t in range(1, n + 1)]
+
+
+def test_the_rank_filter_keeps_every_double_description_pass():
+    # The cyclic cone (6, 32) is left out: the scan alone takes seconds on it.
+    inputs = [
+        (d, cyclic_generators(d, n))
+        for d in (4, 5, 6) for n in (12, 20, 32) if (d, n) != (6, 32)
+    ]
+    rng = random.Random(97)
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        gens = [
+            tuple(rng.randint(-4, 4) for _ in range(d))
+            for _ in range(rng.randint(0, d + 6))
+        ]
+        if gens and rng.random() < 0.3:
+            gens.append(_neg(rng.choice(gens)))
+        inputs.append((d, gens))
+    with_lineality = 0
+    for d, gens in inputs:
+        lin, rays = _dual_description(d, gens)
+        assert (lin, rays) == scanning_dual_description(d, gens)
+        with_lineality += bool(lin)
+    assert with_lineality >= 40

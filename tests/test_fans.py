@@ -568,6 +568,17 @@ def test_monoid_validation_matches_the_oracle_on_broken_fans_of_monoids():
     } <= seen_codes
 
 
+def test_the_fan_of_a_fan_of_monoids_equals_the_fan_of_its_cones():
+    # fan() skips Fan's check and sort; the duplicate-cone mutations show
+    # that a cone listed twice still appears once.
+    rng = random.Random(89)
+    for fm in seeded_atlases() + seeded_normal_fans_of_monoids():
+        for case in [fm] + broken_fans_of_monoids(fm, rng):
+            expected = Fan(case.exponent_rank, [c for c, _ in case.entries])
+            assert case.fan() == expected
+            assert repr(case.fan()) == repr(expected)
+
+
 # ---------------------------------------------------------------------------
 # Affine atlas
 # ---------------------------------------------------------------------------

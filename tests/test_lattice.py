@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torolog.lattice import (
+    _hnf,
     _integral,
+    _snf,
     hnf,
     hnf_basis,
     mat_vec,
@@ -391,3 +393,161 @@ def test_snf_diagonal_equals_sympys_smith_form():
         want = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
         diag = range(min(len(m), len(m[0])))
         assert [s[i][i] for i in diag] == [abs(int(want[i, i])) for i in diag]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the normal forms as they were before each ran on one working matrix
+# ---------------------------------------------------------------------------
+
+def oracle_hnf(m):
+    """``_hnf`` with its elimination written out on ``w`` and on ``u``."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    w = [[m[i][j] for i in range(rows)] for j in range(cols)]
+    u = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    col = 0
+    for row in range(rows):
+        if col == cols:
+            break
+        live = [j for j in range(col, cols) if w[j][row] != 0]
+        while len(live) > 1:
+            j0 = min(live, key=lambda j: abs(w[j][row]))
+            if j0 != col:
+                w[col], w[j0] = w[j0], w[col]
+                u[col], u[j0] = u[j0], u[col]
+            p = w[col][row]
+            for j in range(col + 1, cols):
+                if w[j][row]:
+                    q = w[j][row] // p
+                    if q:
+                        w[j] = [x - q * y for x, y in zip(w[j], w[col])]
+                        u[j] = [x - q * y for x, y in zip(u[j], u[col])]
+            live = [j for j in range(col, cols) if w[j][row] != 0]
+        if not live:
+            continue
+        if live[0] != col:
+            w[col], w[live[0]] = w[live[0]], w[col]
+            u[col], u[live[0]] = u[live[0]], u[col]
+        if w[col][row] < 0:
+            w[col] = [-x for x in w[col]]
+            u[col] = [-x for x in u[col]]
+        p = w[col][row]
+        for j in range(col):
+            q = w[j][row] // p
+            if q:
+                w[j] = [x - q * y for x, y in zip(w[j], w[col])]
+                u[j] = [x - q * y for x, y in zip(u[j], u[col])]
+        col += 1
+    h = tuple(tuple(w[j][i] for j in range(cols)) for i in range(rows))
+    ut = tuple(tuple(u[j][i] for j in range(cols)) for i in range(cols))
+    return h, ut
+
+
+def oracle_snf(m):
+    """``_snf`` with every row operation applied to ``a`` and ``u`` and every
+    column operation to ``a`` and ``v`` separately."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    a = [list(r) for r in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, k, q):  # row_i -= q * row_k
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for r in a:
+            r[j] -= q * r[k]
+        for r in v:
+            r[j] -= q * r[k]
+
+    def col_swap(j, k):
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+        for r in v:
+            r[j], r[k] = r[k], r[j]
+
+    for t in range(min(rows, cols)):
+        while True:
+            entries = [
+                (i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]
+            ]
+            if not entries:
+                break
+            pi, pj = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            p = a[t][t]
+            clean = True
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_op(i, t, a[i][t] // p)
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_op(j, t, a[t][j] // p)
+                    if a[t][j]:
+                        clean = False
+            if not clean:
+                continue
+            offender = None
+            for i in range(t + 1, rows):
+                if any(a[i][j] % p for j in range(t + 1, cols)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    s = tuple(tuple(r) for r in a)
+    return s, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+
+
+def kernel_corpus(seed, count):
+    """Matrices of 0-7 rows and 0-8 columns with entries up to 50 in absolute
+    value: dense, sparse (mostly zero) and rank-deficient ones, the empty
+    matrix and matrices with rows but no columns among them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 8)
+        bound = rng.choice((1, 3, 9, 50))
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            a, b = rng.sample(m, 2)
+            m[rng.randrange(rows)] = [x - 2 * y for x, y in zip(a, b)]
+        yield tuple(map(tuple, m))
+
+
+def test_normal_forms_equal_the_two_matrix_oracles_exactly():
+    shapes = set()
+    for m in kernel_corpus(2027, 5000):
+        assert _hnf.__wrapped__(m) == oracle_hnf(m)
+        assert _snf.__wrapped__(m) == oracle_snf(m)
+        shapes.add((len(m), len(m[0]) if m else 0))
+    assert {(0, 0), (7, 8), (3, 0)} <= shapes
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=3, max_size=3),
+        min_size=2,
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_normal_forms_equal_the_oracles_on_hypothesis_matrices(rows):
+    m = tuple(tuple(r) for r in rows)
+    assert _hnf.__wrapped__(m) == oracle_hnf(m)
+    assert _snf.__wrapped__(m) == oracle_snf(m)

@@ -348,7 +348,7 @@ def test_apply_preserves_boundary_support():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: ToricMorphismData(((1.5, 0), (0, 1)), PLANE_ATLAS, PLANE_ATLAS),
-     "the matrix entries must be integers"),
+     "1.5 is not an integer"),
     (lambda: apply_to_point(((1, 0),), NN, base_point(NN)),
      "the matrix shape must map the source ambient lattice into the point's "
      "ambient lattice"),

@@ -170,8 +170,10 @@ def test_morphism_data_checks_its_matrix():
         ToricMorphismData([[1], [0]], ATLAS, ATLAS)
     with pytest.raises(ValueError, match="one column per source coordinate"):
         ToricMorphismData([[1, 0]], ATLAS, ATLAS)
-    with pytest.raises(ValueError, match="entries must be integers"):
-        ToricMorphismData([[1.0]], ATLAS, ATLAS)
+    with pytest.raises(ValueError, match="^1.5 is not an integer$"):
+        ToricMorphismData([[1.5]], ATLAS, ATLAS)
+    # An integral float is read as the int it equals, as ToricMonoid reads it.
+    assert ToricMorphismData([[1.0]], ATLAS, ATLAS).nu == ((1,),)
     d = ToricMorphismData([[2]], ATLAS, ATLAS)
     assert (d.nu, d.nu_dual) == (((2,),), ((2,),))
 

@@ -759,7 +759,7 @@ FULL_NN = faces(NN)[-1]
     (lambda: relative_fiber(((1,), (1, 2)), faces(NN2)[0]),
      "the matrix rows have unequal lengths"),
     (lambda: relative_fiber(((1.5,), (1,)), faces(NN2)[0]),
-     "the matrix entries must be integers"),
+     "1.5 is not an integer"),
     (lambda: associated_log_stalk(NUMERICAL, faces(NUMERICAL)[0]).multiply(
         (1,), (2,)), "(1,) is not an element of the monoid"),
     (lambda: points_of(NN, "standard"),
