@@ -15,48 +15,16 @@ validation failures, 2 on malformed input (JSON nested too deeply included),
 line on stderr, no traceback).
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .cones import RationalCone, _checked, dim, dual_cone
-from .cones import faces as cone_faces
-from .fans import (
-    Fan,
-    FanOfMonoids,
-    affine_atlas,
-    normal_fan_of_monoids,
-    validate_fan,
-    validate_fan_of_monoids,
-)
+from . import cones, fans, monoids, morphisms, rounding, snc
 from .lattice import memo, primitive
-from .monoids import (
-    ToricMonoid,
-    _face_with_indices,
-    ghost,
-    is_saturated,
-    prime_ideals,
-    saturate,
-)
-from .monoids import faces as monoid_faces
-from .morphisms import ToricMorphismData, apply_to_point, check_morphism
-from .rounding import (
-    ComplexPoint,
-    LogPointKind,
-    RoundingPoint,
-    encode_hom,
-    evaluate_monomial,
-    fiber_structure,
-    log_point,
-    milnor_stratum_fiber,
-    monomial_angle,
-    points_of,
-    rounding_report,
-    tau,
-)
-from .snc import DualComplex, link_report, milnor_report
 
 __all__ = [
     "main",
@@ -126,7 +94,7 @@ def _cone_parts(obj):
     rays = _as_matrix(_field(obj, "rays", "cone"), "cone rays")
     lineality = _as_matrix(obj.get("lineality", ()), "cone lineality")
     flipped = tuple(tuple(-x for x in v) for v in lineality)
-    return rank, _checked(rank, rays + lineality + flipped)
+    return rank, cones._checked(rank, rays + lineality + flipped)
 
 
 @memo
@@ -144,13 +112,13 @@ def _cones(parts):
             parent = next(
                 (p for p in unwalked if p[0] == d and gens <= p[1]), None)
             if parent is None:
-                c = RationalCone(*parts[i])
+                c = cones.RationalCone(*parts[i])
                 vectors = frozenset(c.generating_vectors())
                 known[key] = known[d, vectors] = c
                 unwalked.append((d, vectors, c))
             else:
                 unwalked.remove(parent)
-                for f in cone_faces(parent[2]):
+                for f in cones.faces(parent[2]):
                     known.setdefault((d, frozenset(f.generating_vectors())), f)
     return tuple(known[k] for k in keys)
 
@@ -168,7 +136,7 @@ def monoid_from_json(obj):
         _field(obj, "ambient_rank", "monoid"), "monoid ambient_rank"
     )
     gens = _as_matrix(_field(obj, "generators", "monoid"), "monoid generators")
-    return ToricMonoid(rank, gens)
+    return monoids.ToricMonoid(rank, gens)
 
 
 def monoid_to_json(g):
@@ -180,8 +148,8 @@ def monoid_to_json(g):
 
 def fan_from_json(obj):
     rank = _as_int(_field(obj, "ambient_rank", "fan"), "fan ambient_rank")
-    cones = _as_array(_field(obj, "cones", "fan"), "fan cones")
-    return Fan(rank, _cones(tuple(_cone_parts(c) for c in cones)))
+    listed = _as_array(_field(obj, "cones", "fan"), "fan cones")
+    return fans.Fan(rank, _cones(tuple(_cone_parts(c) for c in listed)))
 
 
 def fanmon_from_json(obj):
@@ -190,11 +158,11 @@ def fanmon_from_json(obj):
         _field(obj, "entries", "fan of monoids"), "fan of monoids entries"
     )
     # Each entry's cone is checked before its monoid, as if built in turn.
-    parts, monoids = [], []
+    parts, charts = [], []
     for e in entries:
         parts.append(_cone_parts(_field(e, "cone", "fan entry")))
-        monoids.append(monoid_from_json(_field(e, "monoid", "fan entry")))
-    return FanOfMonoids(rank, tuple(zip(_cones(tuple(parts)), monoids)))
+        charts.append(monoid_from_json(_field(e, "monoid", "fan entry")))
+    return fans.FanOfMonoids(rank, tuple(zip(_cones(tuple(parts)), charts)))
 
 
 def fanmon_to_json(fm):
@@ -209,7 +177,7 @@ def fanmon_to_json(fm):
 
 def morphism_from_json(obj):
     nu = _as_matrix(_field(obj, "nu", "morphism"), "morphism nu")
-    return ToricMorphismData(
+    return morphisms.ToricMorphismData(
         nu,
         fanmon_from_json(_field(obj, "source", "morphism")),
         fanmon_from_json(_field(obj, "target", "morphism")),
@@ -218,7 +186,7 @@ def morphism_from_json(obj):
 
 def complex_from_json(obj, complete):
     mults = obj.get("multiplicities") if isinstance(obj, dict) else None
-    return DualComplex(
+    return snc.DualComplex(
         _as_int(_field(obj, "n", "complex"), "complex n"),
         _as_int(_field(obj, "vertices", "complex"), "complex vertices"),
         _as_matrix(_field(obj, "simplices", "complex"), "complex simplices"),
@@ -229,9 +197,9 @@ def complex_from_json(obj, complete):
     )
 
 
-def _face_of(g: ToricMonoid, obj, where, what):
+def _face_of(g: monoids.ToricMonoid, obj, where, what):
     idx = tuple(sorted(_as_vector(_field(obj, "face", where), what)))
-    face = _face_with_indices(g, idx)
+    face = monoids._face_with_indices(g, idx)
     if face is None:
         raise InputError(f"no face has generator indices {list(idx)}")
     return face
@@ -273,18 +241,19 @@ def rounding_point_to_json(p):
     }
 
 
-def _point_from_json(g: ToricMonoid, obj, kind):
+def _point_from_json(g: monoids.ToricMonoid, obj, kind):
     face = _face_of(g, obj, "point", "face")
     radial = tuple(
         _as_float(x, "radial_log")
         for x in _as_array(_field(obj, "radial_log", "point"), "radial_log")
     )
     angle = _angles_in(_field(obj, "angle", "point"))
-    cls = RoundingPoint if kind == "rounding" else ComplexPoint
+    cls = (rounding.RoundingPoint if kind == "rounding"
+           else rounding.ComplexPoint)
     return cls(g, face, radial, angle)
 
 
-def rounding_point_from_json(g: ToricMonoid, obj):
+def rounding_point_from_json(g: monoids.ToricMonoid, obj):
     return _point_from_json(g, obj, "rounding")
 
 
@@ -370,9 +339,9 @@ _FIBER_COLUMNS = (("fiber rank", "fiber_rank", str),
 
 def _cmd_cone_dual(payload, args):
     """the dual cone"""
-    d = dual_cone(RationalCone(*_cone_parts(payload)))
+    d = cones.dual_cone(cones.RationalCone(*_cone_parts(payload)))
     obj = cone_to_json(d)
-    fields = (("ambient_rank", d.ambient_rank), ("dim", dim(d)),
+    fields = (("ambient_rank", d.ambient_rank), ("dim", cones.dim(d)),
               ("rays", obj["rays"]), ("lineality", obj["lineality"]))
     value = ("value", 1, lambda v: _vecs(v) if isinstance(v, list) else str(v))
     return 0, obj, [((("field", 0, str), value), fields)]
@@ -380,13 +349,13 @@ def _cmd_cone_dual(payload, args):
 
 def _cmd_cone_faces(payload, args):
     """face lattice with dims and subface relations"""
-    fs = cone_faces(RationalCone(*_cone_parts(payload)))
+    fs = cones.faces(cones.RationalCone(*_cone_parts(payload)))
     # Faces of one cone: one lies in another exactly when its rays do.
     rays = [set(f.rays) for f in fs]
     rows = [
         dict(
             cone_to_json(fj),
-            dim=dim(fj),
+            dim=cones.dim(fj),
             subfaces=[
                 i for i, ri in enumerate(rays) if i != j and ri <= rays[j]
             ],
@@ -408,8 +377,8 @@ def _cmd_monoid_saturate(payload, args):
     # normalization map of an affine toric variety (Cox-Little-Schenck, Toric
     # Varieties, 1.3): check_morphism(normalization_morphism(g)) cannot fail.
     obj = dict(
-        monoid_to_json(saturate(g)),
-        already_saturated=is_saturated(g),
+        monoid_to_json(monoids.saturate(g)),
+        already_saturated=monoids.is_saturated(g),
         normalization_check={"ok": True, "failures": []},
     )
     saturated = _yes_no(obj["already_saturated"])
@@ -423,7 +392,7 @@ def _cmd_monoid_faces(payload, args):
     g = monoid_from_json(payload)
     complement = {
         p.face.generator_indices: p.complement_indices
-        for p in prime_ideals(g)
+        for p in monoids.prime_ideals(g)
     }
     rows = [
         {
@@ -431,7 +400,7 @@ def _cmd_monoid_faces(payload, args):
             "generators": _matrix_out(f.monoid.generators),
             "prime_complement": list(complement[f.generator_indices]),
         }
-        for f in monoid_faces(g)
+        for f in monoids.faces(g)
     ]
     columns = (_INDEX, ("gen indices", "indices", _joined),
                ("generators", "generators", _vecs),
@@ -442,7 +411,7 @@ def _cmd_monoid_faces(payload, args):
 def _cmd_monoid_ghost(payload, args):
     """ghost rank, torsion, generator images"""
     g, face = _monoid_and_face(payload)
-    rep = ghost(g, face)
+    rep = monoids.ghost(g, face)
     inv = rep.invariants
     images = [
         {"free": [str(x) for x in free], "torsion": list(tors)}
@@ -463,35 +432,37 @@ def _cmd_monoid_ghost(payload, args):
 
 def _cmd_fan_check(payload, args):
     """axiom validation (PASS / failure codes)"""
-    return _check_output(validate_fan(fan_from_json(payload)))
+    return _check_output(fans.validate_fan(fan_from_json(payload)))
 
 
 def _cmd_fanmon_check(payload, args):
     """chart-compatibility validation"""
-    return _check_output(validate_fan_of_monoids(fanmon_from_json(payload)))
+    return _check_output(
+        fans.validate_fan_of_monoids(fanmon_from_json(payload))
+    )
 
 
 def _fanmon_output(fm):
     columns = (_INDEX, ("cone dim", 0, str), ("cone rays", 1, _vecs),
                ("monoid generators", 2, _vecs))
-    rows = ((dim(c), c.rays, m.generators) for c, m in fm.entries)
+    rows = ((cones.dim(c), c.rays, m.generators) for c, m in fm.entries)
     return 0, fanmon_to_json(fm), [(columns, rows)]
 
 
 def _cmd_fanmon_atlas(payload, args):
     """the affine atlas of charts, one per face"""
-    return _fanmon_output(affine_atlas(monoid_from_json(payload)))
+    return _fanmon_output(fans.affine_atlas(monoid_from_json(payload)))
 
 
 def _cmd_fanmon_normal(payload, args):
     """the fan of monoids of dual Hilbert bases"""
-    return _fanmon_output(normal_fan_of_monoids(fan_from_json(payload)))
+    return _fanmon_output(fans.normal_fan_of_monoids(fan_from_json(payload)))
 
 
 def _cmd_morphism_check(payload, args):
     """compatibility report; optional point pushforward"""
     d = morphism_from_json(payload)
-    code, obj, parts = _check_output(check_morphism(d))
+    code, obj, parts = _check_output(morphisms.check_morphism(d))
     request = payload.get("point")
     if code == 0 and request is not None:
         i = _as_int(_field(request, "source_chart", "point"), "source_chart")
@@ -503,7 +474,7 @@ def _cmd_morphism_check(payload, args):
         if kind not in ("rounding", "complex"):
             raise InputError(f"unknown point kind {kind!r}")
         p = _point_from_json(d.source.entries[i][1], request, kind)
-        image = apply_to_point(d.nu_dual, d.target.entries[j][1], p)
+        image = morphisms.apply_to_point(d.nu_dual, d.target.entries[j][1], p)
         obj["point_image"] = dict(rounding_point_to_json(image), kind=kind)
         im = obj["point_image"]
         parts.append(f"point image: face {_braces(im['face'])}, "
@@ -516,11 +487,11 @@ def _cmd_round_report(payload, args):
     if isinstance(payload, dict) and "generators" in payload:
         # A single affine chart: stratify its polar-valued points by face.
         g = monoid_from_json(payload)
-        desc = log_point(LogPointKind.POLAR)
+        desc = rounding.log_point(rounding.LogPointKind.POLAR)
         rows = [
             _stratum_row(p.fiber, face=list(p.face.generator_indices),
                          torus_rank=p.torus_rank)
-            for p in points_of(g, LogPointKind.POLAR)
+            for p in rounding.points_of(g, rounding.LogPointKind.POLAR)
         ]
         obj = {
             "kind": desc.kind.value,
@@ -532,14 +503,14 @@ def _cmd_round_report(payload, args):
                    ("torus rank", "torus_rank", str)) + _FIBER_COLUMNS
         return 0, obj, [(columns, rows)]
     fm = fanmon_from_json(payload)
-    report = validate_fan_of_monoids(fm)
+    report = fans.validate_fan_of_monoids(fm)
     if not report.ok:
         return _check_output(report)
     rows = [
         _stratum_row(r.fiber, rays=_matrix_out(r.cone.rays),
                      lineality=_matrix_out(r.cone.lineality),
                      orbit_dimension=r.orbit_dimension, boundary=r.boundary)
-        for r in rounding_report(fm)
+        for r in rounding.rounding_report(fm)
     ]
     columns = (
         (("cone rays", "rays", _vecs), ("orbit dim", "orbit_dimension", str))
@@ -552,7 +523,7 @@ def _cmd_round_report(payload, args):
 def _cmd_round_fiber(payload, args):
     """fiber rank and component count; optional point encoding"""
     g, face = _monoid_and_face(payload)
-    rep = fiber_structure(g, face)
+    rep = rounding.fiber_structure(g, face)
     # The face was looked up by its indices, so it is a face of g and the
     # strict restriction check cannot fail.
     obj = dict(_fiber_json(rep), strict_restriction=True)
@@ -565,18 +536,18 @@ def _cmd_round_fiber(payload, args):
                 raise InputError("images must be [radius, angle] pairs")
             radius, angle = _as_float(pair[0], "radius"), pair[1]
             parsed.append((radius, _angles_in((angle,))[0]))
-        p = encode_hom(g, parsed)
+        p = rounding.encode_hom(g, parsed)
         if p.support_face != face:
             raise InputError(
                 "the images are supported on a different face than requested"
             )
         obj["point"] = rounding_point_to_json(p)
-        obj["tau"] = rounding_point_to_json(tau(p))
+        obj["tau"] = rounding_point_to_json(rounding.tau(p))
         obj["values"] = [
             {
                 "monomial": [str(x) for x in m],
-                "radius": evaluate_monomial(p, m)[0],
-                "angle": _angle_out(monomial_angle(p, m)),
+                "radius": rounding.evaluate_monomial(p, m)[0],
+                "angle": _angle_out(rounding.monomial_angle(p, m)),
             }
             for m in g.generators
         ]
@@ -591,7 +562,7 @@ def _cmd_milnor_strata(payload, args):
     """stratum fiber of the multiplicity vector"""
     if isinstance(payload, dict):
         payload = _field(payload, "multiplicities", "milnor input")
-    rep = milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
+    rep = rounding.milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
     return 0, _fiber_json(rep), [_fiber_line(rep)]
 
 
@@ -615,13 +586,13 @@ def _simplex_rows(rows):
 def _cmd_snc_link(payload, args):
     """link fibers per simplex"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
-    return _simplex_rows(link_report(dc))
+    return _simplex_rows(snc.link_report(dc))
 
 
 def _cmd_snc_milnor(payload, args):
     """Milnor fibers per simplex, component totals by depth"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
-    report = milnor_report(dc)
+    report = snc.milnor_report(dc)
     code, obj, parts = _simplex_rows(report.rows)
     depths = report.components_by_depth
     obj["components_by_depth"] = [list(d) for d in depths]

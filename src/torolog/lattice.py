@@ -80,11 +80,15 @@ __all__ = [
 
 def _integral(x) -> int:
     """``x`` as an int, refusing any value that ``int()`` would change, such
-    as ``1.5``.  A decimal string is read as ``int()`` reads it."""
-    n = int(x)
-    if n != x and not isinstance(x, str):
-        raise ValueError(f"{x!r} is not an integer")
-    return n
+    as ``1.5``, or cannot read, such as ``None``, ``'x'``, ``nan`` or
+    ``inf``.  A decimal string is read as ``int()`` reads it."""
+    try:
+        n = int(x)
+        if n == x or isinstance(x, str):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def _rank(x, what="ambient rank") -> int:

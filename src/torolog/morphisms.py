@@ -9,7 +9,7 @@ composed with the monoid map, restricting support faces to their preimages
 and pushing radial and angular data through the dual coordinates.
 """
 
-from .cones import contains, faces
+from .cones import contains, dual_cone, faces
 from .fans import (
     FanOfMonoids,
     ValidationFailure,
@@ -18,7 +18,14 @@ from .fans import (
     affine_atlas,
     validate_fan_of_monoids,
 )
-from .lattice import _int_rows, mat_identity, mat_vec, record, transpose
+from .lattice import (
+    _int_rows,
+    mat_identity,
+    mat_vec,
+    pairing,
+    record,
+    transpose,
+)
 from .monoids import (
     ToricMonoid,
     _coordinates,
@@ -68,13 +75,24 @@ class ToricMorphismData:
         return self[:3]
 
 
+def _smallest_face(sigma, image):
+    """The smallest face of ``sigma`` containing the vectors ``image``, which
+    lie in ``sigma``.  It is cut out by the dual rays vanishing on the whole
+    image, so its rays are the rays of ``sigma`` on which all of those
+    vanish."""
+    cut = [u for u in dual_cone(sigma).rays
+           if not any(pairing(u, w) for w in image)]
+    rays = tuple(r for r in sigma.rays if not any(pairing(u, r) for u in cut))
+    return next(t for t in faces(sigma) if t.rays == rays)
+
+
 def _chart_failures(d: ToricMorphismData, entries):
     """The failures of the source entries given, in order: an image lying
     in no target cone, then each dual image missing from the source chart.
     A dual image that is a generator of the source chart needs no search.
     The target is valid, so an image lies in a target cone exactly when it
-    lies in a maximal one, and the smallest target cone containing it is the
-    first face of that one, in ``faces`` order, containing it."""
+    lies in a maximal one, and the smallest target cone containing it is a
+    face of that one."""
     targets = dict(d.target.entries)
     top = _cover(tuple(targets))[0]
     for cone1, chart1 in entries:
@@ -88,9 +106,7 @@ def _chart_failures(d: ToricMorphismData, entries):
                 f"the image of {cone1!r} lies in no target cone",
             )
             continue
-        minimal = next(
-            t for t in faces(sigma) if all(contains(t, w) for w in image)
-        )
+        minimal = _smallest_face(sigma, image)
         listed = set(chart1.generators)
         for gen in targets[minimal].generators:
             pulled = mat_vec(d.nu_dual, gen)

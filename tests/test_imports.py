@@ -2,8 +2,10 @@
 
 A ``torolog`` run imports the package once per payload, so the import
 should not pull in heavy standard modules it does not use, and it should
-leave every module in place for the benchmark tracer.  Each check runs in a
-fresh interpreter, so the modules this test process loaded do not count.
+leave every module in place for the benchmark tracer.  Each module but
+``cli`` and ``lattice`` runs on first use, so a verb runs only the modules
+it needs.  Each check runs in a fresh interpreter, so the modules this test
+process loaded do not count.
 No module imports a name it never uses, so a deletion leaves no dead import
 behind, and no two refusals share a message, so each check is made in one
 place.  Each public name is declared once, in its module's ``__all__``, and
@@ -194,11 +196,18 @@ SURFACE = {
 
 
 def test_the_package_republishes_each_public_name_from_its_one_module():
+    # The names are resolved on first read, so the namespace is read through
+    # ``dir`` and ``getattr``; only ``faces`` is bound in the package itself.
     public = {
-        k for k, v in vars(torolog).items()
-        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+        k for k in dir(torolog)
+        if not k.startswith("_")
+        and not isinstance(getattr(torolog, k), types.ModuleType)
     }
     assert len(SURFACE) == 81 and public == SURFACE
+    assert {
+        k for k, v in vars(torolog).items()
+        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+    } <= SURFACE
     owners = {}
     for mod in MODULES:
         for name in getattr(torolog, mod).__all__:
@@ -212,3 +221,39 @@ def test_the_package_republishes_each_public_name_from_its_one_module():
             owner = getattr(torolog, mods[0])
             assert getattr(torolog, name) is getattr(owner, name)
     assert torolog.faces.__module__ == "torolog"
+
+
+# Prints the torolog modules that have run: a module registered for loading
+# on first use keeps a type of its own until then.
+RUN = (
+    "import sys, types\n"
+    f"print([m for m in {MODULES!r}\n"
+    "       if type(sys.modules['torolog.' + m]) is types.ModuleType])\n"
+)
+
+
+def test_importing_the_package_and_cli_runs_only_the_lattice():
+    out = run_fresh("import torolog, torolog.cli\n" + RUN)
+    assert out == "['lattice']\n"
+
+
+def test_a_cone_verb_runs_only_the_lattice_and_the_cones():
+    out = run_fresh(textwrap.dedent("""
+        import contextlib, io, json, sys
+        import torolog.cli
+        golden = json.load(open("tests/cli_golden.json"))
+        case = next(c for c in golden if c["argv"] == ["cone", "dual"])
+        sys.stdin = io.StringIO(json.dumps(case["payload"]))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = torolog.cli.main(case["argv"])
+        assert (code, out.getvalue()) == (case["code"], case["stdout"])
+    """) + RUN)
+    assert out == "['lattice', 'cones']\n"
+
+
+def test_a_star_import_binds_the_public_names():
+    out = run_fresh(
+        "from torolog import *\n"
+        "print(sorted(k for k in globals() if not k.startswith('_')))\n"
+    )
+    assert out == f"{sorted(SURFACE)}\n"

@@ -6,6 +6,7 @@ reference routines and, where sympy is installed, its Hermite and Smith forms;
 both are deliberately independent of the library code.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,6 +31,10 @@ from torolog.lattice import (
     lattice_rank,
     solve_integer,
 )
+from torolog.fans import affine_atlas
+from torolog.monoids import ToricMonoid, faces
+from torolog.morphisms import ToricMorphismData
+from torolog.rounding import relative_fiber
 
 
 def is_unimodular(u):
@@ -328,6 +333,27 @@ def test_integral_keeps_exact_values_and_refuses_the_rest():
             _integral(x)
     with pytest.raises(ValueError):
         _integral("1.5")
+
+
+LINE = ToricMonoid(1, ((1,),))
+
+
+@pytest.mark.parametrize("x", [None, [1], "x", math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("build", [
+    _integral,
+    lambda x: ToricMonoid(1, ((x,),)),
+    lambda x: ToricMorphismData(
+        ((x,),), affine_atlas(LINE), affine_atlas(LINE)
+    ),
+    lambda x: relative_fiber(((x,),), faces(LINE)[-1]),
+], ids=["_integral", "ToricMonoid", "ToricMorphismData", "relative_fiber"])
+def test_an_entry_int_cannot_read_gets_the_one_integrality_refusal(build, x):
+    # int() raises TypeError, ValueError or OverflowError on these; each
+    # reader answers with the one refusal instead.
+    with pytest.raises(
+        ValueError, match=rf"^{re.escape(repr(x))} is not an integer$"
+    ):
+        build(x)
 
 
 @pytest.mark.parametrize("call, message", [

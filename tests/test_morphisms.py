@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_monoid
-from test_fans import broken_fans_of_monoids, maximal_cones, seeded_normal_fans
+from test_fans import (
+    broken_fans_of_monoids,
+    maximal_cones,
+    seeded_atlases,
+    seeded_normal_fans,
+)
 from torolog.cones import RationalCone, contains, is_face_of
 from torolog.cones import faces as cone_faces
 from torolog.fans import (
@@ -33,6 +38,7 @@ from torolog.monoids import (
 )
 from torolog.morphisms import (
     ToricMorphismData,
+    _smallest_face,
     apply_to_point,
     check_morphism,
     normalization_morphism,
@@ -322,6 +328,46 @@ def test_check_morphism_matches_the_pairwise_oracle():
     assert seen["no-containing-cone"] >= 100, seen
     assert seen["chart-incompatible"] >= 25, seen
     assert seen["face-incompatible"] >= 5, seen
+
+
+def scanning_smallest_face(sigma, image):
+    """The smallest face of ``sigma`` containing ``image``: the first face
+    in ``faces`` order containing every vector, one dual cone per face."""
+    return next(
+        t for t in cone_faces(sigma) if all(contains(t, w) for w in image)
+    )
+
+
+def test_the_smallest_target_face_matches_the_scan_down_the_faces():
+    rng = random.Random(139)
+    cases = []
+    for d in morphism_corpus():
+        for cone1, _ in d.source.entries:
+            image = [mat_vec(d.nu, v) for v in cone1.generating_vectors()]
+            cases += [(sigma, image) for sigma, _ in d.target.entries
+                      if all(contains(sigma, w) for w in image)]
+
+    def combination(sigma):
+        """A nonnegative combination of some generators of ``sigma``."""
+        w = [0] * sigma.ambient_rank
+        gens = sigma.generating_vectors()
+        for v in rng.sample(gens, rng.randint(0, len(gens))):
+            c = rng.randint(1, 2)
+            w = [a + c * b for a, b in zip(w, v)]
+        return tuple(w)
+
+    for fm in seeded_atlases():
+        for sigma, _ in fm.entries:
+            cases += [
+                (sigma, [combination(sigma) for _ in range(rng.randint(1, 3))])
+                for _ in range(4)
+            ]
+    proper = 0
+    for sigma, image in cases:
+        minimal = _smallest_face(sigma, image)
+        assert minimal == scanning_smallest_face(sigma, image), (sigma, image)
+        proper += minimal != sigma
+    assert len(cases) >= 4000 and proper >= 2000, (len(cases), proper)
 
 
 # ---------------------------------------------------------------------------
