@@ -48,7 +48,10 @@ def __getattr__(name):
         return list(dict.fromkeys(n for m in _MODULES for n in m.__all__))
     owner = _owners.get(name)
     if owner is None:
-        owner = next((m for m in _MODULES if name in m.__all__), None)
+        # No module declares a private name, or ``cli``, the one package
+        # module not bound here: answer those without running a module.
+        if not name.startswith("_") and name != "cli":
+            owner = next((m for m in _MODULES if name in m.__all__), None)
         if owner is None:
             raise AttributeError(
                 f"module {__name__!r} has no attribute {name!r}"

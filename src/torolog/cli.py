@@ -562,7 +562,7 @@ def _cmd_milnor_strata(payload, args):
     """stratum fiber of the multiplicity vector"""
     if isinstance(payload, dict):
         payload = _field(payload, "multiplicities", "milnor input")
-    rep = rounding.milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
+    rep = snc.milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
     return 0, _fiber_json(rep), [_fiber_line(rep)]
 
 

@@ -196,8 +196,12 @@ def validate_fan(f: Fan) -> ValidationReport:
     cones, so it is a face of one exactly when it is a face of a maximal
     cone above it.  The faces of each cone are read there too.
     """
-    cones = f.cones
-    top, above = _cover(cones)
+    return ValidationReport(_fan_failures(f.cones, _cover(f.cones)))
+
+
+def _fan_failures(cones, cover):
+    """The failures of the fan of ``cones``, read from their cover."""
+    top, above = cover
     ups = [above[c] for c in cones]
     rays = [frozenset(c.rays) for c in cones]
     # Each maximal cone's faces by ray set, each with its presence in the
@@ -243,8 +247,8 @@ def validate_fan(f: Fan) -> ValidationReport:
     # A proper face has fewer rays than the maximal cones above it.
     maximal = [i for i, r in enumerate(rays) if len(r) == len(top[min(ups[i])].rays)]
     if next(failures(maximal), None) is None:
-        return ValidationReport(())
-    return ValidationReport(tuple(failures(range(len(cones)))))
+        return ()
+    return tuple(failures(range(len(cones))))
 
 
 def _perp_face_indices(monoid: ToricMonoid, cone: RationalCone):
@@ -266,33 +270,79 @@ def _perp_face(monoid: ToricMonoid, cone: RationalCone):
     return _face_with_indices(monoid, _perp_face_indices(monoid, cone))
 
 
-def _certified_charts(charts: dict, top):
-    """Each cone whose chart a maximal chart certifies, mapped to the set
-    of cones that chart certifies.
-
-    ``charts`` maps each cone to its monoid, and ``top`` lists the maximal
-    cones.  A maximal chart with full group and weight cone ``sigma``
-    certifies ``sigma`` and each face ``tau`` of ``sigma`` whose chart
-    equals its localization along the face vanishing on ``tau``.
-    """
-    certified = {}
-    for sigma in top:
-        monoid = charts[sigma]
-        full = gp(monoid) == mat_identity(sigma.ambient_rank)
-        if not full or weight_cone(monoid) != sigma:
-            continue
-        agree = {sigma} | {
-            tau
-            for tau in cone_faces(sigma)
-            if tau != sigma and tau in charts and monoid_equal(
-                charts[tau], localize(monoid, _perp_face(monoid, tau))
-            )
-        }
-        certified.update(dict.fromkeys(agree, agree))
-    return certified
-
-
 @memo
+def _validated(fm: FanOfMonoids):
+    """The report of ``validate_fan_of_monoids`` and the index of the fan
+    of monoids that ``strata`` and ``check_morphism`` read with it: a
+    read-only map from each cone to its chart (the later one, for a cone
+    listed twice), and the cover of its cones (``_cover``)."""
+    charts = dict(fm.entries)
+    cones = tuple(charts)
+    cover = top, above = _cover(cones)
+    report = _fan_failures(cones, cover)
+    identity = mat_identity(fm.exponent_rank)
+    certified = {}
+
+    def agreeing(cone, monoid):
+        # Only the entry at a cone which ``charts`` holds is certified.
+        return certified.get(cone, ()) if charts[cone] is monoid else ()
+
+    def failures(entries):
+        # Each failure with the face it concerns, or None for a whole entry.
+        for cone, monoid in entries:
+            if not agreeing(cone, monoid) and gp(monoid) != identity:
+                yield None, ValidationFailure(
+                    "group-not-full",
+                    f"generators of {monoid!r} span a proper subgroup",
+                )
+        seen = set()
+        for cone, monoid in entries:
+            if cone in seen:
+                yield None, ValidationFailure(
+                    "duplicate-cone", f"two entries share the cone {cone!r}"
+                )
+            seen.add(cone)
+            if not agreeing(cone, monoid) and weight_cone(monoid) != cone:
+                yield None, ValidationFailure(
+                    "weight-cone-mismatch",
+                    f"weight cone of {monoid!r} is {weight_cone(monoid)!r}, "
+                    f"entry key is {cone!r}",
+                )
+        for cone, monoid in entries:
+            agree, rays = agreeing(cone, monoid), set(cone.rays)
+            for tau in cone_faces(top[min(above[cone])]):
+                if not rays.issuperset(tau.rays) or tau == cone or tau in agree:
+                    continue
+                chart = charts.get(tau)
+                if chart is None:
+                    continue  # absence is already a fan failure
+                if not agree:
+                    phi = _perp_face(monoid, tau)
+                    if phi is None:
+                        yield tau, ValidationFailure(
+                            "face-incompatible",
+                            f"generators of {monoid!r} vanishing on {tau!r} "
+                            "do not span a face",
+                        )
+                        continue
+                    if monoid_equal(chart, localize(monoid, phi)):
+                        continue
+                yield tau, ValidationFailure(
+                    "face-incompatible",
+                    f"entry at {tau!r} is not the localization of the "
+                    f"entry at {cone!r}",
+                )
+
+    failed = [{tau for tau, _ in failures([(s, charts[s])])} for s in top]
+    if report or len(charts) < len(fm.entries) or any(failed):
+        for sigma, faults in zip(top, failed):
+            if None not in faults:
+                agree = {t for t in cone_faces(sigma) if t in charts} - faults
+                certified.update(dict.fromkeys(agree, agree))
+        report += tuple(f for _, f in failures(fm.entries))
+    return ValidationReport(report), MappingProxyType(charts), cover
+
+
 def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     """Check the fan axioms plus the monoid conditions.
 
@@ -302,80 +352,24 @@ def validate_fan_of_monoids(fm: FanOfMonoids) -> ValidationReport:
     the localization of the entry at ``sigma`` along the face vanishing on
     ``tau``.  All failures are reported.
 
-    A localization keeps the generated group, and the localization of a
-    chart with weight cone ``sigma`` along the face vanishing on ``tau`` has
+    One enumeration yields the failures among some entries, each with the
+    face it concerns.  It runs first on each maximal entry alone: if none
+    fails, the fan is valid and no cone is listed twice, the fan of monoids
+    is valid.  Otherwise it runs on every entry, so each violation becomes
+    one report entry.  There each maximal chart whose group and weight cone
+    passed certifies itself and each face chart that did not fail.
+
+    A certified chart passes its group and weight cone checks: a
+    localization keeps the generated group, and the localization of a chart
+    with weight cone ``sigma`` along the face vanishing on ``tau`` has
     weight cone ``(sigma^v + lin(sigma^v & tau^perp))^v = tau``
-    (Cox-Little-Schenck, *Toric Varieties*, Prop. 1.2.10).  So a chart that
-    a maximal chart certifies (``_certified_charts``) passes its group and
-    weight cone checks.  Localization is transitive, so for ``tau`` a face
-    of a face ``sigma'`` certified under ``sigma``, the entry at ``tau`` is
-    the localization of the entry at ``sigma'`` exactly when ``tau`` is
-    certified under ``sigma``.  Only uncertified charts are checked alone.
-
-    One enumeration yields the failures among some entries.  Once the fan
-    is valid and no cone is listed twice, it runs on the maximal entries
-    first; if they pass, each maximal chart certifies all its faces, and
-    the fan of monoids is valid.  Otherwise it runs on every entry, so each
-    violation becomes one report entry.
+    (Cox-Little-Schenck, *Toric Varieties*, Prop. 1.2.10).  Localization is
+    transitive, so for ``tau`` a face of a face ``sigma'`` certified under
+    ``sigma``, the entry at ``tau`` is the localization of the entry at
+    ``sigma'`` exactly when ``tau`` is certified under ``sigma``.  So only
+    uncertified charts are checked alone.
     """
-    fan_failures = validate_fan(fm.fan()).failures
-    charts = dict(fm.entries)
-    top, above = _cover(tuple(charts))
-    certified = _certified_charts(charts, top)
-    identity = mat_identity(fm.exponent_rank)
-
-    def agreeing(cone, monoid):
-        # Only the entry at a cone which ``charts`` holds is certified.
-        return certified.get(cone, ()) if charts[cone] is monoid else ()
-
-    def failures(entries):
-        for cone, monoid in entries:
-            if not agreeing(cone, monoid) and gp(monoid) != identity:
-                yield ValidationFailure(
-                    "group-not-full",
-                    f"generators of {monoid!r} span a proper subgroup",
-                )
-        seen = set()
-        for cone, monoid in entries:
-            if cone in seen:
-                yield ValidationFailure(
-                    "duplicate-cone", f"two entries share the cone {cone!r}"
-                )
-            seen.add(cone)
-            if not agreeing(cone, monoid) and weight_cone(monoid) != cone:
-                yield ValidationFailure(
-                    "weight-cone-mismatch",
-                    f"weight cone of {monoid!r} is {weight_cone(monoid)!r}, "
-                    f"entry key is {cone!r}",
-                )
-        for cone, monoid in entries:
-            agree, rays = agreeing(cone, monoid), set(cone.rays)
-            for tau in cone_faces(top[min(above[cone])]):
-                if (not rays.issuperset(tau.rays) or tau == cone or tau in agree
-                        or tau not in charts):
-                    continue  # absence is already a fan failure
-                if not agree:
-                    phi = _perp_face(monoid, tau)
-                    if phi is None:
-                        yield ValidationFailure(
-                            "face-incompatible",
-                            f"generators of {monoid!r} vanishing on {tau!r} "
-                            "do not span a face",
-                        )
-                        continue
-                    if monoid_equal(charts[tau], localize(monoid, phi)):
-                        continue
-                yield ValidationFailure(
-                    "face-incompatible",
-                    f"entry at {tau!r} is not the localization of the "
-                    f"entry at {cone!r}",
-                )
-
-    if not fan_failures and len(charts) == len(fm.entries) and (
-        next(failures([(c, charts[c]) for c in top]), None) is None
-    ):
-        return ValidationReport(())
-    return ValidationReport(fan_failures + tuple(failures(fm.entries)))
+    return _validated(fm)[0]
 
 
 def affine_atlas(g: ToricMonoid) -> FanOfMonoids:
@@ -410,23 +404,21 @@ def strata(fm: FanOfMonoids) -> tuple:
     """One stratum per fan cone: orbit dimension and chart ghost data.
 
     The ghost at a cone is computed in the first maximal chart containing it,
-    in canonical order, as the fan's cover (``_cover``) lists them.
+    in canonical order, as the cover that ``_validated`` keeps lists them.
     """
-    report = validate_fan_of_monoids(fm)
+    report, charts, (top, above) = _validated(fm)
     if not report.ok:
         raise ValueError(
             "invalid fan of monoids: "
             + "; ".join(f.code for f in report.failures)
         )
-    lookup = dict(fm.entries)
-    top, above = _cover(tuple(lookup))
     rows = []
-    for cone in lookup:
+    for cone in charts:
         # Validation found the entry at this cone to be the localization of
         # every maximal chart through it along the face vanishing on the
         # cone, so that face's group is the entry's unit group in each of
         # them, and every maximal chart gives the same ghost invariants.
-        monoid = lookup[top[min(above[cone])]]
+        monoid = charts[top[min(above[cone])]]
         phi = _perp_face(monoid, cone)
         rows.append(
             FanStratum(

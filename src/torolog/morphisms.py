@@ -14,9 +14,8 @@ from .fans import (
     FanOfMonoids,
     ValidationFailure,
     ValidationReport,
-    _cover,
+    _validated,
     affine_atlas,
-    validate_fan_of_monoids,
 )
 from .lattice import (
     _int_rows,
@@ -86,19 +85,18 @@ def _smallest_face(sigma, image):
     return next(t for t in faces(sigma) if t.rays == rays)
 
 
-def _chart_failures(d: ToricMorphismData, entries):
+def _chart_failures(d: ToricMorphismData, entries, charts2, top2):
     """The failures of the source entries given, in order: an image lying
     in no target cone, then each dual image missing from the source chart.
-    A dual image that is a generator of the source chart needs no search.
+    ``charts2`` and ``top2`` are the target's charts and maximal cones.  A
+    dual image that is a generator of the source chart needs no search.
     The target is valid, so an image lies in a target cone exactly when it
     lies in a maximal one, and the smallest target cone containing it is a
     face of that one."""
-    targets = dict(d.target.entries)
-    top = _cover(tuple(targets))[0]
     for cone1, chart1 in entries:
         image = [mat_vec(d.nu, v) for v in cone1.generating_vectors()]
         sigma = next(
-            (c2 for c2 in top if all(contains(c2, w) for w in image)), None
+            (c2 for c2 in top2 if all(contains(c2, w) for w in image)), None
         )
         if sigma is None:
             yield ValidationFailure(
@@ -108,7 +106,7 @@ def _chart_failures(d: ToricMorphismData, entries):
             continue
         minimal = _smallest_face(sigma, image)
         listed = set(chart1.generators)
-        for gen in targets[minimal].generators:
+        for gen in charts2[minimal].generators:
             pulled = mat_vec(d.nu_dual, gen)
             if pulled not in listed and membership(chart1, pulled) is None:
                 yield ValidationFailure(
@@ -122,19 +120,21 @@ def check_morphism(d: ToricMorphismData) -> ValidationReport:
     """Validate that the lattice map carries the source fan into the target.
 
     Both fans of monoids are validated first and any of their failures are
-    surfaced unchanged.  Then, for each source cone, the image must lie in
-    some target cone ('no-containing-cone' otherwise), and the dual map must
-    send the chart of the smallest containing cone into the source chart
-    ('chart-incompatible' otherwise).
+    surfaced unchanged; their charts and maximal cones are read from the
+    index their validation keeps.  Then, for each source cone, the image
+    must lie in some target cone ('no-containing-cone' otherwise), and the
+    dual map must send the chart of the smallest containing cone into the
+    source chart ('chart-incompatible' otherwise).  The source cones are
+    checked as ``validate_fan_of_monoids`` checks its charts: the maximal
+    ones first, stopping at the first failure among them.
 
-    Once both fans are valid, only the maximal source cones are checked.
-    That implies every other source cone passes (Cox-Little-Schenck, *Toric
-    Varieties*, Thm 3.3.4).  Let ``sigma1`` be a maximal source cone that
-    passes, ``sigma2`` the smallest target cone containing its image, and
-    ``tau1`` a face of ``sigma1``.  The image of ``tau1`` lies in ``sigma2``
-    too, and the target fan is valid, so the smallest target cone ``mu``
-    containing it is a face of ``sigma2``.  Validation found
-    ``chart(mu) = localize(chart(sigma2), psi)`` and
+    A maximal source cone that passes makes its faces pass
+    (Cox-Little-Schenck, *Toric Varieties*, Thm 3.3.4).  Let ``sigma1`` be
+    a maximal source cone that passes, ``sigma2`` the smallest target cone
+    containing its image, and ``tau1`` a face of ``sigma1``.  The image of
+    ``tau1`` lies in ``sigma2`` too, and the target fan is valid, so the
+    smallest target cone ``mu`` containing it is a face of ``sigma2``.
+    Validation found ``chart(mu) = localize(chart(sigma2), psi)`` and
     ``chart(tau1) = localize(chart(sigma1), phi)``, with ``psi`` and ``phi``
     the faces vanishing on ``mu`` and on ``tau1``.  The dual map carries the
     generators of ``chart(sigma2)`` into ``chart(sigma1)``, which lies in
@@ -142,18 +142,17 @@ def check_morphism(d: ToricMorphismData) -> ValidationReport:
     ``chart(sigma1)`` and vanishes on ``tau1``; the weight cone of
     ``chart(sigma1)`` is ``sigma1``, so every generator in a sum for it
     vanishes on ``tau1`` and it lies in ``phi``.  So the dual image of
-    ``-b`` lies in ``chart(tau1)``.  If a maximal source cone fails, every
-    source cone is checked, so each violation becomes one report entry.
+    ``-b`` lies in ``chart(tau1)``.
     """
-    failures = list(validate_fan_of_monoids(d.source).failures)
-    failures.extend(validate_fan_of_monoids(d.target).failures)
-    if failures:
-        return ValidationReport(tuple(failures))
-    charts = dict(d.source.entries)
-    top = [(c, charts[c]) for c in _cover(tuple(charts))[0]]
-    if next(_chart_failures(d, top), None) is None:
+    source, charts1, (top1, _) = _validated(d.source)
+    target, charts2, (top2, _) = _validated(d.target)
+    if source.failures or target.failures:
+        return ValidationReport(source.failures + target.failures)
+    maximal = [(c, charts1[c]) for c in top1]
+    if next(_chart_failures(d, maximal, charts2, top2), None) is None:
         return ValidationReport(())
-    return ValidationReport(tuple(_chart_failures(d, d.source.entries)))
+    failures = _chart_failures(d, d.source.entries, charts2, top2)
+    return ValidationReport(tuple(failures))
 
 
 def normalization_morphism(g: ToricMonoid) -> ToricMorphismData:

@@ -9,8 +9,7 @@ point* keeps only the face data: radii and angles both live on ``gp(Φ)``, and
 monomials off the face evaluate to zero.  The collapse map ``tau`` forgets
 the extra angles; its fiber over a stratum is a torsor whose character
 lattice is the ghost group of the face, which is what
-:func:`fiber_structure`, :func:`relative_fiber`, and
-:func:`milnor_stratum_fiber` report.
+:func:`fiber_structure` and :func:`relative_fiber` report.
 """
 
 import cmath
@@ -57,7 +56,6 @@ __all__ = [
     "evaluate_monomial",
     "fiber_structure",
     "log_point",
-    "milnor_stratum_fiber",
     "monomial_angle",
     "points_of",
     "relative_fiber",
@@ -359,26 +357,6 @@ def relative_fiber(mu_gp, f1: MonoidFace) -> FiberReport:
         tuple(b[i] for b in phi) + mu[i] for i in range(d1)
     )
     return FiberReport.of(quotient_invariants(d1, rows))
-
-
-def milnor_stratum_fiber(multiplicities) -> FiberReport:
-    """Fiber data of the map cutting out a normal crossing of the given
-    multiplicities: rank one less than the depth, and one component per
-    common divisor.
-
-    This is :func:`relative_fiber` of the multiplicity column at the closed
-    point of the free monoid, read off in closed form: the lattice modulo
-    one vector of content ``g`` is ``Z^(k-1) x Z/g``.
-    """
-    ms = tuple(multiplicities)
-    if not ms:
-        raise ValueError("at least one multiplicity is required")
-    if any(not isinstance(m, int) or m < 1 for m in ms):
-        raise ValueError("multiplicities must be positive integers")
-    g = math.gcd(*ms)
-    return FiberReport.of(
-        AbelianGroupInvariants(len(ms) - 1, (g,) if g > 1 else ())
-    )
 
 
 @record

@@ -7,15 +7,14 @@ several connected components are entered by repeating the simplex.  The local
 model at a depth-k stratum is the free monoid on k generators, so the link
 fiber is one torus of rank k (the ghost group of that monoid at its closed
 point is ``Z^k``) and Milnor-type fibers come from
-:func:`~torolog.rounding.milnor_stratum_fiber` applied to the restricted
-multiplicities.
+:func:`milnor_stratum_fiber` applied to the restricted multiplicities.
 """
 
+import math
 from itertools import chain
 
 from .lattice import AbelianGroupInvariants, _integral, record
 from .monoids import FiberReport
-from .rounding import milnor_stratum_fiber
 
 __all__ = [
     "DualComplex",
@@ -23,6 +22,7 @@ __all__ = [
     "StratumRow",
     "link_report",
     "milnor_report",
+    "milnor_stratum_fiber",
 ]
 
 
@@ -117,6 +117,26 @@ class StratumRow:
 class MilnorReport:
     rows: tuple
     components_by_depth: tuple
+
+
+def milnor_stratum_fiber(multiplicities) -> FiberReport:
+    """Fiber data of the map cutting out a normal crossing of the given
+    multiplicities: rank one less than the depth, and one component per
+    common divisor.
+
+    This is :func:`~torolog.rounding.relative_fiber` of the multiplicity
+    column at the closed point of the free monoid, read off in closed form:
+    the lattice modulo one vector of content ``g`` is ``Z^(k-1) x Z/g``.
+    """
+    ms = tuple(multiplicities)
+    if not ms:
+        raise ValueError("at least one multiplicity is required")
+    if any(not isinstance(m, int) or m < 1 for m in ms):
+        raise ValueError("multiplicities must be positive integers")
+    g = math.gcd(*ms)
+    return FiberReport.of(
+        AbelianGroupInvariants(len(ms) - 1, (g,) if g > 1 else ())
+    )
 
 
 def link_report(dc: DualComplex) -> tuple:

@@ -46,12 +46,12 @@ from torolog.morphisms import check_morphism, normalization_morphism
 from torolog.rounding import (
     LogPointKind,
     fiber_structure,
-    milnor_stratum_fiber,
     points_of,
     relative_fiber,
     rounding_report,
     strict_restriction_check,
 )
+from torolog.snc import milnor_stratum_fiber
 
 
 @contextmanager

@@ -294,12 +294,12 @@ def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(
 
 
 def test_validating_an_atlas_hashes_each_cone_a_few_times(monkeypatch):
-    # Passing validation reads each cone's maximal cones once, and tests
-    # each face of the maximal cone against the faces its chart certifies;
-    # it intersects no cones and compares each face chart once.
+    # Passing validation looks up the fan's cover once and runs the failure
+    # enumeration on the one maximal chart alone, which looks up each face
+    # chart once and compares it once; it intersects no cones.
     parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
     for g, counts in (
-        (HEXAGON, (238, 0, 13)), (parabola, (2094, 0, 129)),
+        (HEXAGON, (168, 0, 13)), (parabola, (1444, 0, 129)),
     ):
         for (module, name), expected in zip(
             ((RationalCone, "__hash__"), (cones, "intersect"),
@@ -315,6 +315,24 @@ def test_validating_an_atlas_hashes_each_cone_a_few_times(monkeypatch):
             )
             assert both - built == expected, name
             assert report.failures == ()
+
+
+def test_strata_and_the_morphism_check_read_the_index_validation_keeps(
+    monkeypatch,
+):
+    # The rounding report's strata, and the morphism check for both of its
+    # fans, read each fan's charts and cover from its memoized validation,
+    # and build no second map of the charts and look up no second cover.
+    parabola = ToricMonoid(3, tuple((t, t * t, 1) for t in range(64)))
+    for build, check, expected in (
+        (lambda: affine_atlas(parabola), rounding_report, 1964),
+        (lambda: normalization_morphism(HEXAGON), check_morphism, 273),
+    ):
+        built, _ = count_calls(monkeypatch, RationalCone, "__hash__", build)
+        both, _ = count_calls(
+            monkeypatch, RationalCone, "__hash__", lambda: check(build())
+        )
+        assert both - built == expected
 
 
 def test_a_hexagon_atlas_with_its_minimal_chart_doubled_rechecks_one_chart(

@@ -237,18 +237,40 @@ def test_importing_the_package_and_cli_runs_only_the_lattice():
     assert out == "['lattice']\n"
 
 
-def test_a_cone_verb_runs_only_the_lattice_and_the_cones():
-    out = run_fresh(textwrap.dedent("""
+def test_reading_the_cli_from_the_package_runs_only_the_lattice():
+    # The import system first asks the package for ``cli`` as an attribute;
+    # no module declares it, so the answer runs none of them.
+    out = run_fresh(
+        "import torolog\n"
+        "from torolog import cli\n"
+        "assert not hasattr(torolog, '_private') and cli.main\n" + RUN
+    )
+    assert out == "['lattice']\n"
+
+
+def run_golden(argv):
+    """The torolog modules that ran in a fresh interpreter that imported
+    the CLI and ran its first golden case of ``argv``, checking its output."""
+    return run_fresh(textwrap.dedent(f"""
         import contextlib, io, json, sys
         import torolog.cli
         golden = json.load(open("tests/cli_golden.json"))
-        case = next(c for c in golden if c["argv"] == ["cone", "dual"])
+        case = next(c for c in golden if c["argv"] == {argv!r})
         sys.stdin = io.StringIO(json.dumps(case["payload"]))
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = torolog.cli.main(case["argv"])
         assert (code, out.getvalue()) == (case["code"], case["stdout"])
     """) + RUN)
-    assert out == "['lattice', 'cones']\n"
+
+
+def test_a_cone_verb_runs_only_the_lattice_and_the_cones():
+    assert run_golden(["cone", "dual"]) == "['lattice', 'cones']\n"
+
+
+def test_an_snc_verb_runs_no_rounding_or_fans():
+    assert run_golden(["snc", "milnor"]) == (
+        "['lattice', 'cones', 'monoids', 'snc']\n"
+    )
 
 
 def test_a_star_import_binds_the_public_names():

@@ -49,7 +49,7 @@ def test_every_memo_is_bounded_by_the_one_size_constant():
     assert names >= {
         "_hnf", "_snf", "_canonical_form", "dual_cone", "exponent_cone",
         "faces", "gp", "_gp_matrix", "_splitting", "saturate",
-        "validate_fan_of_monoids", "dim", "_face_index", "ghost",
+        "_validated", "dim", "_face_index", "ghost",
         "_perp_face", "_cover",
     }
     assert all(fn.cache_info().maxsize == MEMO_SIZE for fn in MEMOS)

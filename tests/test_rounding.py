@@ -38,7 +38,6 @@ from torolog.rounding import (
     evaluate_monomial,
     fiber_structure,
     log_point,
-    milnor_stratum_fiber,
     monomial_angle,
     points_of,
     relative_fiber,
@@ -46,6 +45,7 @@ from torolog.rounding import (
     strict_restriction_check,
     tau,
 )
+from torolog.snc import milnor_stratum_fiber
 
 NN = ToricMonoid(1, ((1,),))
 NN2 = ToricMonoid(2, ((1, 0), (0, 1)))
