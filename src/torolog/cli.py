@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from numbers import Rational
 
 from . import cones, fans, monoids, morphisms, rounding, snc
 from .lattice import memo, primitive
@@ -211,10 +209,12 @@ def _monoid_and_face(obj):
 
 
 def _angle_out(a):
-    return str(Fraction(a)) if isinstance(a, Rational) else repr(float(a))
+    # A point's angles are exact fractions or floats.
+    return repr(a) if isinstance(a, float) else str(a)
 
 
 def _angles_in(values):
+    from fractions import Fraction
     angles = []
     for a in _as_array(values, "angle"):
         if isinstance(a, str):
@@ -487,16 +487,16 @@ def _cmd_round_report(payload, args):
     if isinstance(payload, dict) and "generators" in payload:
         # A single affine chart: stratify its polar-valued points by face.
         g = monoid_from_json(payload)
-        desc = rounding.log_point(rounding.LogPointKind.POLAR)
         rows = [
             _stratum_row(p.fiber, face=list(p.face.generator_indices),
                          torus_rank=p.torus_rank)
-            for p in rounding.points_of(g, rounding.LogPointKind.POLAR)
+            for p in rounding.points_of(g)
         ]
         obj = {
-            "kind": desc.kind.value,
-            "carrier": desc.carrier,
-            "evaluation": desc.evaluation,
+            "kind": "polar",
+            "carrier": "nonnegative radii paired with circle angles",
+            "evaluation": "a pair (radius, angle) evaluates to the radius "
+                          "times the unit of the angle",
             "strata": rows,
         }
         columns = (("face", "face", _braces),

@@ -43,7 +43,6 @@ __all__ = [
     "dual_cone",
     "faces",
     "intersect",
-    "is_face_of",
     "is_sharp",
 ]
 
@@ -324,19 +323,10 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     return tuple(f for _, f in keyed)
 
 
-def _same_rank(a: RationalCone, b: RationalCone):
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("cones live in different ambient ranks")
-
-
-def is_face_of(f: RationalCone, c: RationalCone) -> bool:
-    _same_rank(f, c)
-    return f in faces(c)
-
-
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
     """Intersection, computed by merging the two facet systems."""
-    _same_rank(a, b)
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("cones live in different ambient ranks")
     da, db = dual_cone(a), dual_cone(b)
     constraints = da.rays + db.rays + tuple(
         v for l in da.lineality + db.lineality for v in (l, _neg(l))

@@ -62,10 +62,8 @@ __all__ = [
     "IntMat",
     "AbelianGroupInvariants",
     "mat_identity",
-    "mat_mul",
     "mat_vec",
     "transpose",
-    "det",
     "hnf",
     "snf",
     "hnf_basis",
@@ -108,17 +106,6 @@ def mat_identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    inner = len(a[0]) if a else 0
-    if inner != len(b):
-        raise ValueError("matrix dimensions do not match")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(len(a))
-    )
-
-
 def mat_vec(m: IntMat, v: IntVec) -> IntVec:
     if (len(m[0]) if m else 0) != len(v):
         raise ValueError("matrix and vector dimensions do not match")
@@ -129,33 +116,6 @@ def transpose(m: IntMat) -> IntMat:
     if not m:
         return ()
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
-
-
-def det(m: IntMat) -> int:
-    """Determinant by fraction-free Bareiss elimination (all divisions exact)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def hnf(m: IntMat) -> tuple[IntMat, IntMat]:

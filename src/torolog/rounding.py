@@ -1,4 +1,4 @@
-"""Rounding points, collapse maps, fiber invariants, and log stalks.
+"""Rounding points, collapse maps and fiber invariants.
 
 A *rounding point* of a toric monoid Γ is a monoid map into the polar target
 (nonnegative radii paired with circle angles): its radial part is positive
@@ -14,13 +14,11 @@ lattice is the ghost group of the face, which is what
 
 import cmath
 import math
-from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
 from .fans import FanOfMonoids, strata
 from .lattice import (
-    AbelianGroupInvariants,
     _int_rows,
     hnf,
     mat_identity,
@@ -30,7 +28,6 @@ from .lattice import (
 )
 from .monoids import (
     FiberReport,
-    GhostReport,
     MonoidFace,
     ToricMonoid,
     _coordinates,
@@ -45,17 +42,11 @@ from .monoids import (
 
 __all__ = [
     "ComplexPoint",
-    "LogPointDescriptor",
-    "LogPointKind",
-    "LogStalk",
     "PointStratum",
     "RoundingPoint",
-    "associated_log_stalk",
-    "base_point",
     "encode_hom",
     "evaluate_monomial",
     "fiber_structure",
-    "log_point",
     "monomial_angle",
     "points_of",
     "relative_fiber",
@@ -188,17 +179,6 @@ class ComplexPoint:
                 "face group"
             )
         return tuple.__new__(cls, (monoid, support_face, radial, ang))
-
-
-def base_point(g: ToricMonoid) -> RoundingPoint:
-    """The neutral point sending every generator to radius one, angle zero."""
-    full = faces(g)[-1]
-    return RoundingPoint(
-        g,
-        full,
-        (0.0,) * len(gp(full.monoid)),
-        (Fraction(0),) * len(gp(g)),
-    )
 
 
 def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
@@ -360,134 +340,18 @@ def relative_fiber(mu_gp, f1: MonoidFace) -> FiberReport:
 
 
 @record
-class LogStalk:
-    """Normal form of the stalk of the divisorial log structure at a point
-    supported on a face.
-
-    Every stalk element splits as a unit times a monomial class; the classes
-    are indexed by a transversal of the quotient by the face group, realized
-    by clearing the pivot coordinates of the canonical face-group basis.
-    ``absorbed_unit_rank`` records the rank of the face group folded into
-    the units, and products of transversal representatives twist by the face
-    group element returned alongside each product.
-    """
-
-    monoid: ToricMonoid
-    face: MonoidFace
-    ghost: GhostReport
-    absorbed_unit_rank: int
-
-    def _reduce(self, v):
-        v = list(v)
-        for b in gp(self.face.monoid):
-            pivot = next(i for i, x in enumerate(b) if x)
-            q = v[pivot] // b[pivot]
-            if q:
-                for i in range(len(v)):
-                    v[i] -= q * b[i]
-        return tuple(v)
-
-    def class_of(self, m):
-        """The transversal representative of the class of ``m``."""
-        return self._reduce(_element(self.monoid, m))
-
-    def multiply(self, m1, m2):
-        """Normal form of a product: ``(twist, representative)``.
-
-        The twist is the face-group element by whose evaluation the unit
-        part multiplies when the product is rewritten on the transversal.
-        """
-        m1, m2 = _element(self.monoid, m1), _element(self.monoid, m2)
-        total = tuple(a + b for a, b in zip(m1, m2))
-        rep = self._reduce(total)
-        twist = tuple(a - b for a, b in zip(total, rep))
-        return twist, rep
-
-
-def associated_log_stalk(g: ToricMonoid, f: MonoidFace) -> LogStalk:
-    """Stalk descriptor of the divisorial log structure on the stratum of
-    ``f``: units absorb the face group, and the ghost group indexes the
-    monomial classes."""
-    return LogStalk(
-        monoid=g,
-        face=f,
-        ghost=ghost(g, f),
-        absorbed_unit_rank=len(gp(f.monoid)),
-    )
-
-
-class LogPointKind(Enum):
-    EMPTY = "empty"
-    TRIVIAL = "trivial"
-    STANDARD = "standard"
-    POLAR = "polar"
-
-
-@record
-class LogPointDescriptor:
-    kind: LogPointKind
-    carrier: str
-    evaluation: str
-
-
-_LOG_POINT_DATA = {
-    LogPointKind.EMPTY: (
-        "the multiplicative complex numbers",
-        "every monomial evaluates through the complex field",
-    ),
-    LogPointKind.TRIVIAL: (
-        "the nonzero complex numbers",
-        "only units occur and they evaluate invertibly",
-    ),
-    LogPointKind.STANDARD: (
-        "units extended by one marker generator",
-        "a pair (unit, k) evaluates to the unit when k is zero and to zero "
-        "otherwise",
-    ),
-    LogPointKind.POLAR: (
-        "nonnegative radii paired with circle angles",
-        "a pair (radius, angle) evaluates to the radius times the unit of "
-        "the angle",
-    ),
-}
-
-
-def log_point(kind) -> LogPointDescriptor:
-    """Evaluation data of the four one-point targets."""
-    kind = LogPointKind(kind)
-    carrier, evaluation = _LOG_POINT_DATA[kind]
-    return LogPointDescriptor(kind, carrier, evaluation)
-
-
-@record
 class PointStratum:
     face: MonoidFace
     torus_rank: int
     fiber: FiberReport
 
 
-def points_of(g: ToricMonoid, kind) -> tuple:
-    """Stratify the points of the chart valued in a one-point target.
-
-    Polar-valued points decompose over the faces with collapse fibers
-    attached; complex-valued points decompose over the faces with trivial
-    fibers; trivially-valued points see only the dense torus.
-    """
-    kind = LogPointKind(kind)
-    trivial = FiberReport.of(AbelianGroupInvariants(0, ()))
-    polar = kind is LogPointKind.POLAR
-    if polar or kind is LogPointKind.EMPTY:
-        return tuple(
-            PointStratum(f, len(gp(f.monoid)),
-                         fiber_structure(g, f) if polar else trivial)
-            for f in faces(g)
-        )
-    if kind is LogPointKind.TRIVIAL:
-        full = faces(g)[-1]
-        return (PointStratum(full, len(gp(g)), trivial),)
-    raise ValueError(
-        "points valued in the marker-generator target are not stratified "
-        "by faces"
+def points_of(g: ToricMonoid) -> tuple:
+    """Stratify the polar-valued points of the chart by face: each face
+    carries the rank of its torus and the collapse fiber over it."""
+    return tuple(
+        PointStratum(f, len(gp(f.monoid)), fiber_structure(g, f))
+        for f in faces(g)
     )
 
 

@@ -44,7 +44,6 @@ from torolog.monoids import (
 )
 from torolog.morphisms import check_morphism, normalization_morphism
 from torolog.rounding import (
-    LogPointKind,
     fiber_structure,
     points_of,
     relative_fiber,
@@ -392,7 +391,7 @@ def test_criterion_polar_points_match_atlas_report():
         rng = random.Random(31415)
         for _ in range(10):
             g = random_monoid(rng, rng.randint(1, 3))
-            pts = points_of(g, LogPointKind.POLAR)
+            pts = points_of(g)
             rows = rounding_report(affine_atlas(g))
             assert len(pts) == len(rows)
             by_points = sorted(

@@ -256,16 +256,13 @@ def test_a_hexagon_fan_with_a_ray_dropped_intersects_no_cones(monkeypatch):
     }
 
 
-def test_a_rounding_report_finds_the_maximal_cones_once(monkeypatch):
+def test_a_rounding_report_finds_the_maximal_cones_once():
     # Validation, its fan check and the strata all read one memoized cover
-    # of the atlas's cones, and none tests whether a cone is a face of
-    # another.
-    calls, rows = count_calls(
-        monkeypatch, cones, "is_face_of",
-        lambda: rounding_report(affine_atlas(HEXAGON)),
-    )
+    # of the atlas's cones.
+    clear_memos()
+    rows = rounding_report(affine_atlas(HEXAGON))
     assert len(rows) == 14
-    assert (fans._cover.cache_info().misses, calls) == (1, 0)
+    assert fans._cover.cache_info().misses == 1
 
 
 def test_checking_the_parabola_fan_with_a_ray_dropped_hashes_few_cones(

@@ -26,7 +26,6 @@ from torolog.cones import (
     dual_cone,
     faces,
     intersect,
-    is_face_of,
     is_sharp,
 )
 from torolog.lattice import (
@@ -94,8 +93,8 @@ def test_a_non_integral_rank_or_entry_is_refused():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: is_face_of(QUADRANT, RationalCone(1, ())),
     lambda: intersect(QUADRANT, RationalCone(1, ())),
+    lambda: intersect(RationalCone(1, ()), QUADRANT),
 ])
 def test_cones_of_different_ranks_are_refused(call):
     with pytest.raises(ValueError, match="^cones live in different ambient ranks$"):
@@ -276,16 +275,6 @@ def test_intersect_opposite_half_planes_gives_line():
     assert intersect(UPPER_HALF_PLANE, lower) == X_AXIS_LINE
 
 
-def test_is_face_of():
-    x_ray = RationalCone(2, ((1, 0),))
-    assert is_face_of(x_ray, QUADRANT)
-    assert is_face_of(QUADRANT, QUADRANT)
-    assert is_face_of(ORIGIN_2D, QUADRANT)
-    diagonal = RationalCone(2, ((1, 1),))
-    assert not is_face_of(diagonal, QUADRANT)
-    assert not is_face_of(VERTICAL_RAY, UPPER_HALF_PLANE)
-
-
 # ---------------------------------------------------------------------------
 # Properties on a random corpus
 # ---------------------------------------------------------------------------
@@ -345,7 +334,6 @@ def test_faces_are_closed_under_intersection_and_nesting():
         fs = faces(c)
         face_set = set(fs)
         for f in fs:
-            assert is_face_of(f, c)
             assert set(faces(f)) <= face_set
         for f, g in itertools.combinations(fs, 2):
             assert intersect(f, g) in face_set

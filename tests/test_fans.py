@@ -12,7 +12,6 @@ from torolog.cones import (
     dual_cone,
     faces as cone_faces,
     intersect,
-    is_face_of,
     is_sharp,
 )
 from torolog.fans import (
@@ -220,7 +219,7 @@ def pairwise_validate_fan(f):
                         "the fan",
                     )
                 )
-            elif not (is_face_of(meet, a) and is_face_of(meet, b)):
+            elif not (meet in cone_faces(a) and meet in cone_faces(b)):
                 failures.append(
                     ValidationFailure(
                         "improper-intersection",
@@ -250,7 +249,7 @@ def normal_fan(rank, points):
 def maximal_cones(fan):
     return [
         c for c in fan.cones
-        if not any(c != o and is_face_of(c, o) for o in fan.cones)
+        if not any(c != o and c in cone_faces(o) for o in fan.cones)
     ]
 
 
@@ -350,7 +349,7 @@ def test_the_cover_matches_the_maximal_cone_oracle():
         assert set(above) == {t for m in top for t in cone_faces(m)}, fan
         for c in fan.cones:
             assert above[c] == {
-                k for k, m in enumerate(top) if is_face_of(c, m)
+                k for k, m in enumerate(top) if c in cone_faces(m)
             }, (fan, c)
 
 
@@ -733,7 +732,7 @@ def scanned_strata(fm):
     maximal = maximal_cones(fm.fan())
     rows = []
     for cone in lookup:
-        monoid = lookup[next(m for m in maximal if is_face_of(cone, m))]
+        monoid = lookup[next(m for m in maximal if cone in cone_faces(m))]
         phi = _face_with_indices(monoid, _perp_face_indices(monoid, cone))
         rows.append(
             FanStratum(cone, fm.exponent_rank - dim(cone), ghost(monoid, phi))

@@ -2,10 +2,10 @@
 
 A ``torolog`` run imports the package once per payload, so the import
 should not pull in heavy standard modules it does not use, and it should
-leave every module in place for the benchmark tracer.  Each module but
-``cli`` and ``lattice`` runs on first use, so a verb runs only the modules
-it needs.  Each check runs in a fresh interpreter, so the modules this test
-process loaded do not count.
+leave every module in place for the benchmark tracer, which must find every
+name it wraps.  Each module but ``cli`` and ``lattice`` runs on first use,
+so a verb runs only the modules it needs.  Each check runs in a fresh
+interpreter, so the modules this test process loaded do not count.
 No module imports a name it never uses, so a deletion leaves no dead import
 behind, and no two refusals share a message, so each check is made in one
 place.  Each public name is declared once, in its module's ``__all__``, and
@@ -13,6 +13,8 @@ the package namespace republishes those lists.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -175,23 +177,20 @@ MODULES = ("lattice", "cones", "monoids", "fans", "rounding", "morphisms", "snc"
 SURFACE = {
     "AbelianGroupInvariants", "ComplexPoint", "DualComplex", "Fan",
     "FanOfMonoids", "FanStratum", "FiberReport", "GhostReport", "IntMat",
-    "IntVec", "LogPointDescriptor", "LogPointKind", "LogStalk", "MilnorReport",
-    "MonoidFace", "PointStratum", "PrimeIdeal", "RationalCone",
-    "RoundingPoint", "StratumRow", "ToricMonoid", "ToricMorphismData",
-    "ValidationFailure", "ValidationReport", "affine_atlas", "apply_to_point",
-    "associated_log_stalk", "base_point", "check_morphism", "contains", "det",
-    "dim", "dual_cone", "edge", "encode_hom", "evaluate_monomial",
-    "exponent_cone", "faces", "fiber_structure", "ghost", "gp",
-    "hilbert_basis", "hnf", "hnf_basis", "intersect", "is_face_of",
-    "is_saturated", "is_sharp", "kernel_basis", "lattice_rank", "link_report",
-    "localize", "log_point", "mat_identity", "mat_mul", "mat_vec",
+    "IntVec", "MilnorReport", "MonoidFace", "PointStratum", "PrimeIdeal",
+    "RationalCone", "RoundingPoint", "StratumRow", "ToricMonoid",
+    "ToricMorphismData", "ValidationFailure", "ValidationReport",
+    "affine_atlas", "apply_to_point", "check_morphism", "contains", "dim",
+    "dual_cone", "edge", "encode_hom", "evaluate_monomial", "exponent_cone",
+    "faces", "fiber_structure", "ghost", "gp", "hilbert_basis", "hnf",
+    "hnf_basis", "intersect", "is_saturated", "is_sharp", "kernel_basis",
+    "lattice_rank", "link_report", "localize", "mat_identity", "mat_vec",
     "membership", "milnor_report", "milnor_stratum_fiber", "monoid_equal",
     "monomial_angle", "normal_fan_of_monoids", "normalization_morphism",
-    "pairing", "points_of", "prime_ideals", "primitive",
-    "quotient_invariants", "relative_fiber", "rounding_report", "saturate",
-    "saturation_membership", "snf", "solve_integer", "strata",
-    "strict_restriction_check", "tau", "transpose", "validate_fan",
-    "validate_fan_of_monoids", "weight_cone",
+    "pairing", "points_of", "prime_ideals", "primitive", "quotient_invariants",
+    "relative_fiber", "rounding_report", "saturate", "saturation_membership",
+    "snf", "solve_integer", "strata", "strict_restriction_check", "tau",
+    "transpose", "validate_fan", "validate_fan_of_monoids", "weight_cone",
 }
 
 
@@ -203,7 +202,7 @@ def test_the_package_republishes_each_public_name_from_its_one_module():
         if not k.startswith("_")
         and not isinstance(getattr(torolog, k), types.ModuleType)
     }
-    assert len(SURFACE) == 81 and public == SURFACE
+    assert len(SURFACE) == 72 and public == SURFACE
     assert {
         k for k, v in vars(torolog).items()
         if not k.startswith("_") and not isinstance(v, types.ModuleType)
@@ -248,23 +247,32 @@ def test_reading_the_cli_from_the_package_runs_only_the_lattice():
     assert out == "['lattice']\n"
 
 
-def run_golden(argv):
-    """The torolog modules that ran in a fresh interpreter that imported
-    the CLI and ran its first golden case of ``argv``, checking its output."""
+def run_golden(*argvs, report=RUN):
+    """What ``report`` prints (by default, the torolog modules that ran) in
+    a fresh interpreter that imported the CLI and ran the first golden case
+    of each of ``argvs``, checking its output."""
     return run_fresh(textwrap.dedent(f"""
         import contextlib, io, json, sys
         import torolog.cli
         golden = json.load(open("tests/cli_golden.json"))
-        case = next(c for c in golden if c["argv"] == {argv!r})
-        sys.stdin = io.StringIO(json.dumps(case["payload"]))
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = torolog.cli.main(case["argv"])
-        assert (code, out.getvalue()) == (case["code"], case["stdout"])
-    """) + RUN)
+        for argv in {list(argvs)!r}:
+            case = next(c for c in golden if c["argv"] == argv)
+            sys.stdin = io.StringIO(json.dumps(case["payload"]))
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = torolog.cli.main(case["argv"])
+            assert (code, out.getvalue()) == (case["code"], case["stdout"])
+    """) + report)
 
 
 def test_a_cone_verb_runs_only_the_lattice_and_the_cones():
     assert run_golden(["cone", "dual"]) == "['lattice', 'cones']\n"
+
+
+def test_a_cone_or_monoid_verb_loads_no_exact_fractions():
+    # Only the verbs that read or write angles need exact fractions.
+    out = run_golden(["cone", "dual"], ["monoid", "faces"],
+                     report="print('fractions' in sys.modules)\n")
+    assert out == "False\n"
 
 
 def test_an_snc_verb_runs_no_rounding_or_fans():
@@ -279,3 +287,17 @@ def test_a_star_import_binds_the_public_names():
         "print(sorted(k for k in globals() if not k.startswith('_')))\n"
     )
     assert out == f"{sorted(SURFACE)}\n"
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # A traced benchmark run looks up each (module, name) of ``TRACED``, so
+    # a name the package drops has to leave that list in the same change.
+    spec = importlib.util.spec_from_file_location(
+        "spans", os.path.join(ROOT, "bench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert [
+        (module, name) for module, name in spans.TRACED
+        if not hasattr(importlib.import_module(f"torolog.{module}"), name)
+    ] == []

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import det, mat_mul
 from torolog.lattice import (
     _hnf,
     _integral,
@@ -25,9 +26,7 @@ from torolog.lattice import (
     quotient_invariants,
     pairing,
     primitive,
-    mat_mul,
     mat_identity,
-    det,
     lattice_rank,
     solve_integer,
 )
@@ -357,10 +356,8 @@ def test_an_entry_int_cannot_read_gets_the_one_integrality_refusal(build, x):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: mat_mul(((1, 2),), ((1,),)), "matrix dimensions do not match"),
     (lambda: mat_vec(((1, 2),), (1,)),
      "matrix and vector dimensions do not match"),
-    (lambda: det(((1, 2),)), "determinant needs a square matrix"),
     (lambda: hnf_basis([(1, 0), (1,)]),
      "generators live in lattices of different ranks"),
     (lambda: solve_integer(((1, 0),), (1, 2)),

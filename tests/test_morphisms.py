@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_monoid
+from conftest import mat_mul, random_monoid
 from test_fans import (
     broken_fans_of_monoids,
     maximal_cones,
     seeded_atlases,
     seeded_normal_fans,
 )
-from torolog.cones import RationalCone, contains, is_face_of
+from torolog.cones import RationalCone, contains
 from torolog.cones import faces as cone_faces
 from torolog.fans import (
     Fan,
@@ -25,7 +25,7 @@ from torolog.fans import (
     normal_fan_of_monoids,
     validate_fan_of_monoids,
 )
-from torolog.lattice import mat_identity, mat_mul, mat_vec
+from torolog.lattice import mat_identity, mat_vec
 from torolog.monoids import (
     ToricMonoid,
     edge,
@@ -46,7 +46,6 @@ from torolog.morphisms import (
 from torolog.rounding import (
     ComplexPoint,
     RoundingPoint,
-    base_point,
     evaluate_monomial,
     monomial_angle,
 )
@@ -188,7 +187,8 @@ def pairwise_check_morphism(d):
             )
             continue
         minimal = next(
-            c2 for c2 in containing if all(is_face_of(c2, o) for o in containing)
+            c2 for c2 in containing
+            if all(c2 in cone_faces(o) for o in containing)
         )
         for gen in lookup[minimal].generators:
             if membership(chart1, mat_vec(d.nu_dual, gen)) is None:
@@ -395,7 +395,8 @@ def test_apply_preserves_boundary_support():
 @pytest.mark.parametrize("call, message", [
     (lambda: ToricMorphismData(((1.5, 0), (0, 1)), PLANE_ATLAS, PLANE_ATLAS),
      "1.5 is not an integer"),
-    (lambda: apply_to_point(((1, 0),), NN, base_point(NN)),
+    (lambda: apply_to_point(
+        ((1, 0),), NN, RoundingPoint(NN, faces(NN)[-1], (0.0,), (0,))),
      "the matrix shape must map the source ambient lattice into the point's "
      "ambient lattice"),
 ])

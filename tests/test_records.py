@@ -34,8 +34,6 @@ from torolog.morphisms import ToricMorphismData
 from torolog.rounding import (
     ComplexPoint,
     RoundingPoint,
-    associated_log_stalk,
-    log_point,
     points_of,
 )
 from torolog.snc import DualComplex, link_report, milnor_report
@@ -90,14 +88,7 @@ VALUES = [
      "ComplexPoint(monoid=ToricMonoid(1, ((1,),)), "
      f"support_face={HALF_REPR}, radial_log=(0.0,), "
      "angle=(Fraction(1, 3),))"),
-    (associated_log_stalk(LINE, POINT),
-     f"LogStalk(monoid=ToricMonoid(1, ((1,),)), face={POINT_REPR}, "
-     f"ghost={POINT_GHOST_REPR}, absorbed_unit_rank=0)"),
-    (log_point("trivial"),
-     "LogPointDescriptor(kind=<LogPointKind.TRIVIAL: 'trivial'>, "
-     "carrier='the nonzero complex numbers', "
-     "evaluation='only units occur and they evaluate invertibly')"),
-    (points_of(LINE, "polar")[0],
+    (points_of(LINE)[0],
      f"PointStratum(face={POINT_REPR}, torus_rank=0, "
      f"fiber={CIRCLE_REPR})"),
     (link_report(DualComplex(2, 2, [(0, 1)], complete=True))[0],
@@ -124,7 +115,7 @@ IDS = [type(x).__name__ for x, _ in VALUES]
 
 
 def test_there_is_one_value_of_each_record_type():
-    assert len(set(IDS)) == 19
+    assert len(set(IDS)) == 17
 
 
 @pytest.mark.parametrize("x, text", VALUES, ids=IDS)

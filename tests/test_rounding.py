@@ -1,4 +1,4 @@
-"""Rounding points, fibers, log stalks, and point-set stratifications.
+"""Rounding points, fibers, and the stratification of polar points.
 
 Torsor cardinalities are cross-checked by enumerating characters on a
 denominator grid, and component counts by a coset search — both independent
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_monoid
+from conftest import mat_mul, random_monoid
 from torolog.fans import FanStratum, affine_atlas
 from torolog.lattice import hnf, mat_identity, solve_integer
 from torolog.monoids import (
@@ -22,22 +22,19 @@ from torolog.monoids import (
     _generator_coordinates,
     edge,
     faces,
+    ghost,
     gp,
     membership,
 )
 from torolog.rounding import (
     ComplexPoint,
     FiberReport,
-    LogPointKind,
     RoundingPoint,
     _interpret_unit,
     _solving_combinations,
-    associated_log_stalk,
-    base_point,
     encode_hom,
     evaluate_monomial,
     fiber_structure,
-    log_point,
     monomial_angle,
     points_of,
     relative_fiber,
@@ -230,7 +227,7 @@ def test_evaluate_boundary_character_powers():
 
 
 def test_evaluate_rejects_non_members():
-    p = base_point(NUMERICAL)
+    p = RoundingPoint(NUMERICAL, faces(NUMERICAL)[-1], (0.0,), (0,))
     with pytest.raises(ValueError):
         evaluate_monomial(p, (1,))
 
@@ -290,7 +287,7 @@ def test_tau_sends_boundary_points_to_the_origin():
 
 
 def test_tau_preserves_the_base_point():
-    bp = base_point(NN2)
+    bp = RoundingPoint(NN2, faces(NN2)[-1], (0.0, 0.0), (0, 0))
     c = tau(bp)
     assert c.support_face == bp.support_face
     assert all(x == 0 for x in c.radial_log)
@@ -527,7 +524,7 @@ def test_milnor_components_match_euclid_gcd():
 
 def test_relative_fiber_is_functorial_on_composites():
     rng = random.Random(101)
-    from torolog.lattice import mat_mul, quotient_invariants
+    from torolog.lattice import quotient_invariants
 
     for _ in range(15):
         m1 = tuple(
@@ -544,81 +541,11 @@ def test_relative_fiber_is_functorial_on_composites():
 
 
 # ---------------------------------------------------------------------------
-# Log stalks
+# Polar points
 # ---------------------------------------------------------------------------
-
-def test_stalk_at_the_origin_of_the_line():
-    stalk = associated_log_stalk(NN, edge(NN))
-    assert stalk.ghost.invariants.rank == 1
-    assert stalk.absorbed_unit_rank == 0
-    assert stalk.class_of((5,)) == (5,)
-    delta, rep = stalk.multiply((2,), (3,))
-    assert delta == (0,) and rep == (5,)
-
-
-def test_stalk_on_the_trivial_locus_has_units_only():
-    full = faces(NN2)[-1]
-    stalk = associated_log_stalk(NN2, full)
-    assert stalk.ghost.invariants.rank == 0
-    assert stalk.absorbed_unit_rank == 2
-    assert stalk.class_of((3, 4)) == (0, 0)
-
-
-def test_stalk_along_an_axis():
-    f = xface(NN2, (1,))  # the face holding (1,0)
-    stalk = associated_log_stalk(NN2, f)
-    assert stalk.ghost.invariants.rank == 1
-    assert stalk.absorbed_unit_rank == 1
-    assert stalk.class_of((3, 2)) == (0, 2)
-    delta, rep = stalk.multiply((1, 1), (2, 1))
-    assert delta == (3, 0) and rep == (0, 2)
-
-
-def test_stalk_twist_records_torsion_products():
-    f = xface(TORSION, (2,))
-    stalk = associated_log_stalk(TORSION, f)
-    assert stalk.class_of((1, 1)) == (1, 1)
-    delta, rep = stalk.multiply((1, 1), (1, 1))
-    assert delta == (2, 0)
-    assert rep == (0, 2)
-
-
-def test_stalk_ghost_matches_ghost():
-    from torolog.monoids import ghost
-
-    rng = random.Random(103)
-    for _ in range(10):
-        g = random_monoid(rng, rng.randint(1, 3))
-        for f in faces(g):
-            assert associated_log_stalk(g, f).ghost == ghost(g, f)
-
-
-def test_stalk_rejects_foreign_faces():
-    with pytest.raises(ValueError, match="is not a face of"):
-        associated_log_stalk(NN2, xface(TORSION, (2,)))
-
-
-def test_stalk_rejects_non_members():
-    stalk = associated_log_stalk(TORSION, xface(TORSION, (2,)))
-    with pytest.raises(ValueError):
-        stalk.class_of((1, 0))
-
-
-# ---------------------------------------------------------------------------
-# Log points and the points functor
-# ---------------------------------------------------------------------------
-
-def test_log_point_descriptors_exist_for_all_kinds():
-    seen = set()
-    for kind in LogPointKind:
-        desc = log_point(kind)
-        assert desc.kind == kind
-        seen.add((desc.carrier, desc.evaluation))
-    assert len(seen) == 4
-
 
 def test_points_of_the_line_in_polar_mode():
-    rows = points_of(NN, LogPointKind.POLAR)
+    rows = points_of(NN)
     assert len(rows) == 2
     boundary, dense = rows
     assert boundary.face.generator_indices == ()
@@ -628,23 +555,10 @@ def test_points_of_the_line_in_polar_mode():
     assert (dense.fiber.torus_rank, dense.fiber.components) == (0, 1)
 
 
-def test_points_of_the_line_in_empty_mode():
-    rows = points_of(NN, LogPointKind.EMPTY)
-    assert [(r.torus_rank, r.fiber.torus_rank) for r in rows] == [(0, 0), (1, 0)]
-
-
-def test_points_of_trivial_mode_is_the_dense_torus():
-    rows = points_of(NN, LogPointKind.TRIVIAL)
+def test_points_of_a_group_is_one_torus():
+    rows = points_of(Z2)
     assert len(rows) == 1
-    assert rows[0].torus_rank == 1
-    assert rows[0].face == faces(NN)[-1]
-
-
-def test_points_of_a_group_is_one_torus_for_every_kind():
-    for kind in (LogPointKind.POLAR, LogPointKind.EMPTY, LogPointKind.TRIVIAL):
-        rows = points_of(Z2, kind)
-        assert len(rows) == 1
-        assert rows[0].torus_rank == 2
+    assert rows[0].torus_rank == 2
 
 
 def test_polar_points_match_the_rounding_report_of_the_atlas():
@@ -653,7 +567,7 @@ def test_polar_points_match_the_rounding_report_of_the_atlas():
         g = random_monoid(rng, rng.randint(1, 3))
         point_rows = sorted(
             (r.torus_rank, r.fiber.torus_rank, r.fiber.components)
-            for r in points_of(g, LogPointKind.POLAR)
+            for r in points_of(g)
         )
         report_rows = sorted(
             (r.orbit_dimension, r.fiber.torus_rank, r.fiber.components)
@@ -671,7 +585,7 @@ def enumerated_restriction_check(g, f, samples=5):
     the closed form: for each sampled denominator-L character, count the
     denominator-L characters with the same restriction to the face."""
     rep = fiber_structure(g, f)
-    if associated_log_stalk(g, f).ghost.invariants != rep.invariants:
+    if ghost(g, f).invariants != rep.invariants:
         return False
     L = max(2, math.lcm(*rep.invariants.torsion))
     rng = random.Random(0x5EED)
@@ -752,7 +666,8 @@ FULL_NN = faces(NN)[-1]
     (lambda: encode_hom(NN, [(1, 0), (1, 0)]), "expected 1 images, got 2"),
     (lambda: encode_hom(NUMERICAL, [(1.0, 0.1), (1.0, 0.1)]),
      "the angles violate an additive relation among the generators"),
-    (lambda: monomial_angle(base_point(NUMERICAL), (1,)),
+    (lambda: monomial_angle(
+        RoundingPoint(NUMERICAL, faces(NUMERICAL)[-1], (0.0,), (0,)), (1,)),
      "(1,) is not an element of the monoid"),
     (lambda: monomial_angle(ComplexPoint(NN, faces(NN)[0], (), ()), (1,)),
      "(1,) vanishes at the point and carries no angle"),
@@ -760,11 +675,6 @@ FULL_NN = faces(NN)[-1]
      "the matrix rows have unequal lengths"),
     (lambda: relative_fiber(((1.5,), (1,)), faces(NN2)[0]),
      "1.5 is not an integer"),
-    (lambda: associated_log_stalk(NUMERICAL, faces(NUMERICAL)[0]).multiply(
-        (1,), (2,)), "(1,) is not an element of the monoid"),
-    (lambda: points_of(NN, "standard"),
-     "points valued in the marker-generator target are not stratified by "
-     "faces"),
 ])
 def test_malformed_points_and_maps_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
