@@ -1,10 +1,10 @@
 """Command-line front end: JSON in, text tables or JSON out.
 
 ``torolog GROUP VERB [--json] [--input PATH] [--strict-complex]`` is parsed
-by one flat parser and dispatched through ``_VERBS``; ``torolog --help``
-lists every verb.  Each handler returns its JSON object and the parts of
-its text form: lines, and ``(columns, rows)`` tables that ``_table`` aligns
-from the same rows.  ``main`` renders only the form asked for.
+by one flat parser and dispatched through ``_VERBS``, whose rows hold each
+verb's help line and handler.  Each handler returns its JSON object and the
+parts of its text form: lines, and ``(columns, rows)`` tables that ``_table``
+aligns from the same rows.  ``main`` renders only the form asked for.
 
 Integer matrix entries are written as decimal strings so values survive JSON
 implementations with 53-bit number limits; readers accept plain integers as
@@ -69,28 +69,44 @@ def _as_vector(x, what):
     return tuple(_as_int(v, what) for v in _as_array(x, what))
 
 
+def _as_floats(x, what):
+    return tuple(_as_float(v, what) for v in _as_array(x, what))
+
+
 def _as_matrix(x, what):
     if not isinstance(x, (list, tuple)):
         raise InputError(f"{what}: expected an array of arrays, got {x!r}")
     return tuple(_as_vector(row, what) for row in x)
 
 
-def _field(obj, key, what):
-    if not isinstance(obj, dict) or key not in obj:
-        raise InputError(f"{what}: missing field {key!r}")
-    return obj[key]
+def _read(obj, where, *fields):
+    """The values of ``obj``'s ``fields``, read in the order declared.  A
+    field ``(key, read, what[, default])`` reads ``read(obj[key], what)``;
+    a key with a default is optional, and absent or ``null`` reads as the
+    default, unread.  ``what`` names the value in refusals."""
+    values = []
+    for key, read, what, *default in fields:
+        present = isinstance(obj, dict) and key in obj
+        if default and (not present or obj[key] is None):
+            values.append(default[0])
+        elif present:
+            values.append(read(obj[key], what))
+        else:
+            raise InputError(f"{where}: missing field {key!r}")
+    return values
 
 
 def _matrix_out(rows):
     return [[str(x) for x in row] for row in rows]
 
 
-def _cone_parts(obj):
+def _cone_parts(obj, where="cone"):
     """The rank and generators of a payload cone, checked as ``RationalCone``
     checks them, without building the cone."""
-    rank = _as_int(_field(obj, "ambient_rank", "cone"), "cone ambient_rank")
-    rays = _as_matrix(_field(obj, "rays", "cone"), "cone rays")
-    lineality = _as_matrix(obj.get("lineality", ()), "cone lineality")
+    rank, rays, lineality = _read(
+        obj, where, ("ambient_rank", _as_int, "cone ambient_rank"),
+        ("rays", _as_matrix, "cone rays"),
+        ("lineality", _as_matrix, "cone lineality", ()))
     flipped = tuple(tuple(-x for x in v) for v in lineality)
     return rank, cones._checked(rank, rays + lineality + flipped)
 
@@ -129,12 +145,10 @@ def cone_to_json(c):
     }
 
 
-def monoid_from_json(obj):
-    rank = _as_int(
-        _field(obj, "ambient_rank", "monoid"), "monoid ambient_rank"
-    )
-    gens = _as_matrix(_field(obj, "generators", "monoid"), "monoid generators")
-    return monoids.ToricMonoid(rank, gens)
+def monoid_from_json(obj, where="monoid"):
+    return monoids.ToricMonoid(*_read(
+        obj, where, ("ambient_rank", _as_int, "monoid ambient_rank"),
+        ("generators", _as_matrix, "monoid generators")))
 
 
 def monoid_to_json(g):
@@ -145,22 +159,20 @@ def monoid_to_json(g):
 
 
 def fan_from_json(obj):
-    rank = _as_int(_field(obj, "ambient_rank", "fan"), "fan ambient_rank")
-    listed = _as_array(_field(obj, "cones", "fan"), "fan cones")
+    rank, listed = _read(obj, "fan",
+                         ("ambient_rank", _as_int, "fan ambient_rank"),
+                         ("cones", _as_array, "fan cones"))
     return fans.Fan(rank, _cones(tuple(_cone_parts(c) for c in listed)))
 
 
-def fanmon_from_json(obj):
-    rank = _as_int(_field(obj, "rank", "fan of monoids"), "fan rank")
-    entries = _as_array(
-        _field(obj, "entries", "fan of monoids"), "fan of monoids entries"
-    )
+def fanmon_from_json(obj, where="fan of monoids"):
+    rank, entries = _read(obj, where, ("rank", _as_int, "fan rank"),
+                          ("entries", _as_array, "fan of monoids entries"))
     # Each entry's cone is checked before its monoid, as if built in turn.
-    parts, charts = [], []
-    for e in entries:
-        parts.append(_cone_parts(_field(e, "cone", "fan entry")))
-        charts.append(monoid_from_json(_field(e, "monoid", "fan entry")))
-    return fans.FanOfMonoids(rank, tuple(zip(_cones(tuple(parts)), charts)))
+    charts = [_read(e, "fan entry", ("cone", _cone_parts, "cone"),
+                    ("monoid", monoid_from_json, "monoid")) for e in entries]
+    cs = _cones(tuple(parts for parts, _ in charts))
+    return fans.FanOfMonoids(rank, tuple(zip(cs, (m for _, m in charts))))
 
 
 def fanmon_to_json(fm):
@@ -173,39 +185,29 @@ def fanmon_to_json(fm):
     }
 
 
-def morphism_from_json(obj):
-    nu = _as_matrix(_field(obj, "nu", "morphism"), "morphism nu")
-    return morphisms.ToricMorphismData(
-        nu,
-        fanmon_from_json(_field(obj, "source", "morphism")),
-        fanmon_from_json(_field(obj, "target", "morphism")),
-    )
-
-
 def complex_from_json(obj, complete):
-    mults = obj.get("multiplicities") if isinstance(obj, dict) else None
-    return snc.DualComplex(
-        _as_int(_field(obj, "n", "complex"), "complex n"),
-        _as_int(_field(obj, "vertices", "complex"), "complex vertices"),
-        _as_matrix(_field(obj, "simplices", "complex"), "complex simplices"),
-        multiplicities=None
-        if mults is None
-        else _as_vector(mults, "complex multiplicities"),
-        complete=complete,
-    )
+    return snc.DualComplex(*_read(
+        obj, "complex", ("n", _as_int, "complex n"),
+        ("vertices", _as_int, "complex vertices"),
+        ("simplices", _as_matrix, "complex simplices"),
+        ("multiplicities", _as_vector, "complex multiplicities", None)),
+        complete=complete)
 
 
-def _face_of(g: monoids.ToricMonoid, obj, where, what):
-    idx = tuple(sorted(_as_vector(_field(obj, "face", where), what)))
-    face = monoids._face_with_indices(g, idx)
-    if face is None:
-        raise InputError(f"no face has generator indices {list(idx)}")
-    return face
+def _face_of(g: monoids.ToricMonoid):
+    """The reader of a face of ``g`` given by its generator indices."""
+    def read(indices, what):
+        idx = tuple(sorted(_as_vector(indices, what)))
+        face = monoids._face_with_indices(g, idx)
+        if face is None:
+            raise InputError(f"no face has generator indices {list(idx)}")
+        return face
+    return read
 
 
 def _monoid_and_face(obj):
-    g = monoid_from_json(_field(obj, "monoid", "payload"))
-    return g, _face_of(g, obj, "payload", "face indices")
+    g, = _read(obj, "payload", ("monoid", monoid_from_json, "monoid"))
+    return g, *_read(obj, "payload", ("face", _face_of(g), "face indices"))
 
 
 def _angle_out(a):
@@ -213,10 +215,10 @@ def _angle_out(a):
     return repr(a) if isinstance(a, float) else str(a)
 
 
-def _angles_in(values):
+def _angles_in(values, what):
     from fractions import Fraction
     angles = []
-    for a in _as_array(values, "angle"):
+    for a in _as_array(values, what):
         if isinstance(a, str):
             try:
                 angles.append(Fraction(a))
@@ -227,7 +229,7 @@ def _angles_in(values):
         elif isinstance(a, int):
             angles.append(Fraction(a))
         else:
-            angles.append(_as_float(a, "angle"))
+            angles.append(_as_float(a, what))
     return tuple(angles)
 
 
@@ -241,20 +243,16 @@ def rounding_point_to_json(p):
     }
 
 
-def _point_from_json(g: monoids.ToricMonoid, obj, kind):
-    face = _face_of(g, obj, "point", "face")
-    radial = tuple(
-        _as_float(x, "radial_log")
-        for x in _as_array(_field(obj, "radial_log", "point"), "radial_log")
-    )
-    angle = _angles_in(_field(obj, "angle", "point"))
+def rounding_point_from_json(g: monoids.ToricMonoid, obj, kind="rounding"):
+    """A rounding point of ``g``, or a complex point when ``kind`` is
+    ``"complex"``, read from the fields ``rounding_point_to_json`` writes."""
+    if kind not in ("rounding", "complex"):
+        raise InputError(f"unknown point kind {kind!r}")
     cls = (rounding.RoundingPoint if kind == "rounding"
            else rounding.ComplexPoint)
-    return cls(g, face, radial, angle)
-
-
-def rounding_point_from_json(g: monoids.ToricMonoid, obj):
-    return _point_from_json(g, obj, "rounding")
+    return cls(g, *_read(obj, "point", ("face", _face_of(g), "face"),
+                         ("radial_log", _as_floats, "radial_log"),
+                         ("angle", _angles_in, "angle")))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,6 @@ _FIBER_COLUMNS = (("fiber rank", "fiber_rank", str),
 # ---------------------------------------------------------------------------
 
 def _cmd_cone_dual(payload, args):
-    """the dual cone"""
     d = cones.dual_cone(cones.RationalCone(*_cone_parts(payload)))
     obj = cone_to_json(d)
     fields = (("ambient_rank", d.ambient_rank), ("dim", cones.dim(d)),
@@ -348,7 +345,6 @@ def _cmd_cone_dual(payload, args):
 
 
 def _cmd_cone_faces(payload, args):
-    """face lattice with dims and subface relations"""
     fs = cones.faces(cones.RationalCone(*_cone_parts(payload)))
     # Faces of one cone: one lies in another exactly when its rays do.
     rays = [set(f.rays) for f in fs]
@@ -369,7 +365,6 @@ def _cmd_cone_faces(payload, args):
 
 
 def _cmd_monoid_saturate(payload, args):
-    """saturation, saturatedness, normalization-morphism verdict"""
     g = monoid_from_json(payload)
     # The verdict is read off, not checked: g lies in sat(g), and both have
     # the same group and the same exponent cone, so the identity carries each
@@ -388,7 +383,6 @@ def _cmd_monoid_saturate(payload, args):
 
 
 def _cmd_monoid_faces(payload, args):
-    """faces with generators and prime-ideal complements"""
     g = monoid_from_json(payload)
     complement = {
         p.face.generator_indices: p.complement_indices
@@ -409,7 +403,6 @@ def _cmd_monoid_faces(payload, args):
 
 
 def _cmd_monoid_ghost(payload, args):
-    """ghost rank, torsion, generator images"""
     g, face = _monoid_and_face(payload)
     rep = monoids.ghost(g, face)
     inv = rep.invariants
@@ -430,18 +423,6 @@ def _cmd_monoid_ghost(payload, args):
     return 0, obj, [f"rank {inv.rank}, torsion {torsion}", (columns, rows)]
 
 
-def _cmd_fan_check(payload, args):
-    """axiom validation (PASS / failure codes)"""
-    return _check_output(fans.validate_fan(fan_from_json(payload)))
-
-
-def _cmd_fanmon_check(payload, args):
-    """chart-compatibility validation"""
-    return _check_output(
-        fans.validate_fan_of_monoids(fanmon_from_json(payload))
-    )
-
-
 def _fanmon_output(fm):
     columns = (_INDEX, ("cone dim", 0, str), ("cone rays", 1, _vecs),
                ("monoid generators", 2, _vecs))
@@ -449,41 +430,32 @@ def _fanmon_output(fm):
     return 0, fanmon_to_json(fm), [(columns, rows)]
 
 
-def _cmd_fanmon_atlas(payload, args):
-    """the affine atlas of charts, one per face"""
-    return _fanmon_output(fans.affine_atlas(monoid_from_json(payload)))
-
-
-def _cmd_fanmon_normal(payload, args):
-    """the fan of monoids of dual Hilbert bases"""
-    return _fanmon_output(fans.normal_fan_of_monoids(fan_from_json(payload)))
-
-
 def _cmd_morphism_check(payload, args):
-    """compatibility report; optional point pushforward"""
-    d = morphism_from_json(payload)
+    *maps, request = _read(
+        payload, "morphism", ("nu", _as_matrix, "morphism nu"),
+        ("source", fanmon_from_json, "fan of monoids"),
+        ("target", fanmon_from_json, "fan of monoids"),
+        ("point", lambda point, what: point, "point", None))
+    d = morphisms.ToricMorphismData(*maps)
     code, obj, parts = _check_output(morphisms.check_morphism(d))
-    request = payload.get("point")
     if code == 0 and request is not None:
-        i = _as_int(_field(request, "source_chart", "point"), "source_chart")
-        j = _as_int(_field(request, "target_chart", "point"), "target_chart")
+        i, j = _read(request, "point",
+                     ("source_chart", _as_int, "source_chart"),
+                     ("target_chart", _as_int, "target_chart"))
         for side, k, fm in (("source", i, d.source), ("target", j, d.target)):
             if not 0 <= k < len(fm.entries):
                 raise InputError(f"{side} chart {k} is out of range")
-        kind = request.get("kind", "rounding")
-        if kind not in ("rounding", "complex"):
-            raise InputError(f"unknown point kind {kind!r}")
-        p = _point_from_json(d.source.entries[i][1], request, kind)
+        kind, = _read(request, "point",
+                      ("kind", lambda kind, what: kind, "kind", "rounding"))
+        p = rounding_point_from_json(d.source.entries[i][1], request, kind)
         image = morphisms.apply_to_point(d.nu_dual, d.target.entries[j][1], p)
-        obj["point_image"] = dict(rounding_point_to_json(image), kind=kind)
-        im = obj["point_image"]
+        im = obj["point_image"] = dict(rounding_point_to_json(image), kind=kind)
         parts.append(f"point image: face {_braces(im['face'])}, "
                      f"angles {', '.join(im['angle'])}")
     return code, obj, parts
 
 
 def _cmd_round_report(payload, args):
-    """per-stratum rounding fibers / polar point strata"""
     if isinstance(payload, dict) and "generators" in payload:
         # A single affine chart: stratify its polar-valued points by face.
         g = monoid_from_json(payload)
@@ -520,27 +492,29 @@ def _cmd_round_report(payload, args):
     return 0, {"strata": rows}, [(columns, rows)]
 
 
+def _images_in(values, what):
+    parsed = []
+    for pair in _as_array(values, what):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InputError("images must be [radius, angle] pairs")
+        radius, angle = _as_float(pair[0], "radius"), pair[1]
+        parsed.append((radius, _angles_in((angle,), "angle")[0]))
+    return parsed
+
+
 def _cmd_round_fiber(payload, args):
-    """fiber rank and component count; optional point encoding"""
     g, face = _monoid_and_face(payload)
     rep = rounding.fiber_structure(g, face)
     # The face was looked up by its indices, so it is a face of g and the
     # strict restriction check cannot fail.
     obj = dict(_fiber_json(rep), strict_restriction=True)
     parts = [_fiber_line(rep), "strict restriction: ok"]
-    images = payload.get("images")
+    images, = _read(payload, "payload", ("images", _images_in, "images", None))
     if images is not None:
-        parsed = []
-        for pair in _as_array(images, "images"):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InputError("images must be [radius, angle] pairs")
-            radius, angle = _as_float(pair[0], "radius"), pair[1]
-            parsed.append((radius, _angles_in((angle,))[0]))
-        p = rounding.encode_hom(g, parsed)
+        p = rounding.encode_hom(g, images)
         if p.support_face != face:
-            raise InputError(
-                "the images are supported on a different face than requested"
-            )
+            raise InputError("the images are supported on a different face "
+                             "than requested")
         obj["point"] = rounding_point_to_json(p)
         obj["tau"] = rounding_point_to_json(rounding.tau(p))
         obj["values"] = [
@@ -559,10 +533,9 @@ def _cmd_round_fiber(payload, args):
 
 
 def _cmd_milnor_strata(payload, args):
-    """stratum fiber of the multiplicity vector"""
-    if isinstance(payload, dict):
-        payload = _field(payload, "multiplicities", "milnor input")
-    rep = snc.milnor_stratum_fiber(_as_vector(payload, "multiplicities"))
+    rep = snc.milnor_stratum_fiber(*_read(
+        payload if isinstance(payload, dict) else {"multiplicities": payload},
+        "milnor input", ("multiplicities", _as_vector, "multiplicities")))
     return 0, _fiber_json(rep), [_fiber_line(rep)]
 
 
@@ -583,14 +556,7 @@ def _simplex_rows(rows):
     return 0, {"rows": out}, [(columns, out)]
 
 
-def _cmd_snc_link(payload, args):
-    """link fibers per simplex"""
-    dc = complex_from_json(payload, complete=not args.strict_complex)
-    return _simplex_rows(snc.link_report(dc))
-
-
 def _cmd_snc_milnor(payload, args):
-    """Milnor fibers per simplex, component totals by depth"""
     dc = complex_from_json(payload, complete=not args.strict_complex)
     report = snc.milnor_report(dc)
     code, obj, parts = _simplex_rows(report.rows)
@@ -601,22 +567,40 @@ def _cmd_snc_milnor(payload, args):
     return code, obj, parts
 
 
+# (group, verb): (help line, handler).  No row reads a lazily loaded module.
 _VERBS = {
-    ("cone", "dual"): _cmd_cone_dual,
-    ("cone", "faces"): _cmd_cone_faces,
-    ("monoid", "saturate"): _cmd_monoid_saturate,
-    ("monoid", "faces"): _cmd_monoid_faces,
-    ("monoid", "ghost"): _cmd_monoid_ghost,
-    ("fan", "check"): _cmd_fan_check,
-    ("fanmon", "check"): _cmd_fanmon_check,
-    ("fanmon", "atlas"): _cmd_fanmon_atlas,
-    ("fanmon", "normal"): _cmd_fanmon_normal,
-    ("morphism", "check"): _cmd_morphism_check,
-    ("round", "report"): _cmd_round_report,
-    ("round", "fiber"): _cmd_round_fiber,
-    ("milnor", "strata"): _cmd_milnor_strata,
-    ("snc", "link"): _cmd_snc_link,
-    ("snc", "milnor"): _cmd_snc_milnor,
+    ("cone", "dual"): ("the dual cone", _cmd_cone_dual),
+    ("cone", "faces"): ("face lattice with dims and subface relations",
+                        _cmd_cone_faces),
+    ("monoid", "saturate"): (
+        "saturation, saturatedness, normalization-morphism verdict",
+        _cmd_monoid_saturate),
+    ("monoid", "faces"): ("faces with generators and prime-ideal complements",
+                          _cmd_monoid_faces),
+    ("monoid", "ghost"): ("ghost rank, torsion, generator images",
+                          _cmd_monoid_ghost),
+    ("fan", "check"): ("axiom validation (PASS / failure codes)",
+        lambda p, a: _check_output(fans.validate_fan(fan_from_json(p)))),
+    ("fanmon", "check"): ("chart-compatibility validation", lambda p, a:
+        _check_output(fans.validate_fan_of_monoids(fanmon_from_json(p)))),
+    ("fanmon", "atlas"): ("the affine atlas of charts, one per face",
+        lambda p, a: _fanmon_output(fans.affine_atlas(monoid_from_json(p)))),
+    ("fanmon", "normal"): ("the fan of monoids of dual Hilbert bases",
+        lambda p, a: _fanmon_output(
+            fans.normal_fan_of_monoids(fan_from_json(p)))),
+    ("morphism", "check"): ("compatibility report; optional point pushforward",
+                            _cmd_morphism_check),
+    ("round", "report"): ("per-stratum rounding fibers / polar point strata",
+                          _cmd_round_report),
+    ("round", "fiber"): (
+        "fiber rank and component count; optional point encoding",
+        _cmd_round_fiber),
+    ("milnor", "strata"): ("stratum fiber of the multiplicity vector",
+                           _cmd_milnor_strata),
+    ("snc", "link"): ("link fibers per simplex", lambda p, a: _simplex_rows(
+        snc.link_report(complex_from_json(p, not a.strict_complex)))),
+    ("snc", "milnor"): ("Milnor fibers per simplex, component totals by depth",
+                        _cmd_snc_milnor),
 }
 
 
@@ -630,8 +614,8 @@ def _parser():
         "and the roundings\nof their log structures.",
         epilog="verbs:\n"
         + "\n".join(
-            f"  {group + ' ' + verb:<17}{handler.__doc__}"
-            for (group, verb), handler in sorted(_VERBS.items())
+            f"  {group + ' ' + verb:<17}{line}"
+            for (group, verb), (line, _) in sorted(_VERBS.items())
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -654,15 +638,15 @@ def _parse(argv):
     through ``parser.error``."""
     parser = _parser()
     args = parser.parse_args(argv)
-    handler = _VERBS.get((args.group, args.verb))
-    if handler is None:
+    row = _VERBS.get((args.group, args.verb))
+    if row is None:
         verbs = ", ".join(repr(v) for g, v in sorted(_VERBS) if g == args.group)
         parser.error(
             f"argument verb: invalid choice: {args.verb!r} (choose from {verbs})"
         )
     if args.strict_complex and args.group != "snc":
         parser.error("unrecognized arguments: --strict-complex")
-    return handler, args
+    return row[1], args
 
 
 def main(argv=None) -> int:

@@ -8,10 +8,14 @@ accepted on input.
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import torolog
 from torolog.cli import (
     _VERBS,
     fanmon_to_json,
@@ -22,6 +26,8 @@ from torolog.cli import (
 from torolog.fans import affine_atlas
 from torolog.monoids import ToricMonoid, faces
 from torolog.rounding import RoundingPoint
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(torolog.__file__)))
 
 QUADRANT_JSON = {"ambient_rank": 2, "rays": [["1", "0"], ["0", "1"]]}
 NN2_JSON = {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]}
@@ -86,6 +92,20 @@ def test_help_lists_every_verb(capsys):
         assert f"  {group} {verb} " in out
 
 
+def test_help_keeps_each_verb_line_when_docstrings_are_stripped():
+    # ``python -OO`` drops docstrings; the help lines live in ``_VERBS``.
+    done = subprocess.run(
+        [sys.executable, "-OO", "-m", "torolog.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=SRC), stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert not [line for line in lines if "None" in line]
+    for (group, verb), (help_line, _) in _VERBS.items():
+        assert f"  {group + ' ' + verb:<17}{help_line}" in lines
+
+
 def test_unknown_verb_is_rejected_with_usage(capsys):
     code = main(["cone", "frobnicate"])
     err = capsys.readouterr()[1]
@@ -119,7 +139,7 @@ def test_a_handler_failure_is_an_internal_error(capsys, monkeypatch):
     def broken(payload, args):
         return 1 // 0
 
-    monkeypatch.setitem(_VERBS, ("cone", "dual"), broken)
+    monkeypatch.setitem(_VERBS, ("cone", "dual"), ("the dual cone", broken))
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(QUADRANT_JSON)))
     code, out, err = invoke(capsys, ["cone", "dual"])
     assert (code, out) == (3, "")
@@ -634,6 +654,58 @@ def test_malformed_point_requests_end_in_exit_2(
     tmp_path, capsys, argv, payload, message
 ):
     assert_rejected(capsys, tmp_path, argv, payload, message)
+
+
+def test_a_point_request_reports_its_face_before_its_radial_log(
+    tmp_path, capsys
+):
+    assert_rejected(
+        capsys, tmp_path, ["morphism", "check"],
+        line_morphism(face=[7], radial_log=5),
+        "no face has generator indices [7]",
+    )
+
+
+LINE_POINT = line_morphism(source_chart=1, target_chart=1, face=[0],
+                           radial_log=[0.5], angle=["1/2"])
+# Each optional key: the verb that reads it, a payload that holds it, the
+# path to the object that holds it, and a malformed value with its message.
+OPTIONAL_KEYS = {
+    "lineality": (["cone", "dual"], QUADRANT_JSON, (), 5,
+                  "cone lineality: expected an array of arrays, got 5"),
+    "multiplicities": (["snc", "link"], SEGMENT_JSON, (), "x",
+                       "complex multiplicities: expected an array, got 'x'"),
+    "point": (["morphism", "check"], LINE_POINT, (), 5,
+              "point: missing field 'source_chart'"),
+    "images": (["round", "fiber"], {"monoid": NN2_JSON, "face": [0]}, (), 5,
+               "images: expected an array, got 5"),
+    "kind": (["morphism", "check"], LINE_POINT, ("point",), "polar",
+             "unknown point kind 'polar'"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONAL_KEYS))
+def test_an_optional_key_given_as_null_reads_as_absent(tmp_path, capsys, key):
+    argv, payload, path, bad, message = OPTIONAL_KEYS[key]
+    absent = object()
+
+    def given(value):
+        out = copy.deepcopy(payload)
+        holder = out
+        for step in path:
+            holder = holder[step]
+        holder.pop(key, None)
+        if value is not absent:
+            holder[key] = value
+        return out
+
+    for form in ([], ["--json"]):
+        code, out, err = invoke(capsys, argv + form, given(absent), tmp_path)
+        assert (code, err) == (0, "")
+        assert invoke(capsys, argv + form, given(None), tmp_path) == (
+            code, out, err
+        )
+    assert_rejected(capsys, tmp_path, argv, given(bad), message)
 
 
 def test_cone_dual_rejects_a_negative_ambient_rank(tmp_path, capsys):

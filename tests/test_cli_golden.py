@@ -289,7 +289,7 @@ def test_a_fault_while_rendering_is_an_internal_error(monkeypatch):
     def handler(payload, args):
         return 0, {"x": 1}, ["a line", ((("x", 0, fail),), [(1,)])]
 
-    monkeypatch.setitem(_VERBS, ("cone", "dual"), handler)
+    monkeypatch.setitem(_VERBS, ("cone", "dual"), ("the dual cone", handler))
     assert run(["cone", "dual"], QUADRANT_JSON) == (
         3, "", "internal error: RuntimeError\n"
     )
