@@ -12,9 +12,9 @@ This namespace republishes each module's ``__all__``, which is the one
 declaration of that module's public names; only ``faces`` is defined here.
 Each module loads on first use: importing the package registers every
 module in ``sys.modules`` without running it, and the first attribute read
-from a module (through a public name here, from another module, or from the
-command line) runs it.  So the first call into a module pays that module's
-compile.
+from a module (through a public name here, from another module, or from a
+verb of the command line) runs it.  Importing the command line runs none.
+So the first call into a module pays that module's compile.
 """
 
 import importlib.util

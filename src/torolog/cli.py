@@ -1,10 +1,12 @@
 """Command-line front end: JSON in, text tables or JSON out.
 
 ``torolog GROUP VERB [--json] [--input PATH] [--strict-complex]`` is parsed
-by one flat parser and dispatched through ``_VERBS``, whose rows hold each
-verb's help line and handler.  Each handler returns its JSON object and the
-parts of its text form: lines, and ``(columns, rows)`` tables that ``_table``
-aligns from the same rows.  ``main`` renders only the form asked for.
+by one flat parser, built at import, and dispatched through ``_VERBS``, whose
+rows hold each verb's help line and handler.  Each handler returns its JSON
+object and the parts of its text form: lines, and ``(columns, rows)`` tables
+that ``_table`` aligns from the same rows.  ``main`` renders only the form
+asked for.  This module only reads payloads, dispatches and renders: it
+keeps no memo, and importing it runs no library module.
 
 Integer matrix entries are written as decimal strings so values survive JSON
 implementations with 53-bit number limits; readers accept plain integers as
@@ -12,7 +14,8 @@ well.  Output ordering is canonical everywhere, so identical inputs produce
 byte-identical output.  Exit codes: 0 on success, 1 when a check verb finds
 validation failures, 2 on malformed input (JSON nested too deeply included),
 3 when a handler fails for any other reason (one ``internal error: <type>``
-line on stderr, no traceback).
+line on stderr, no traceback).  A reader that closes standard output early
+gets no traceback either: the verb keeps its exit code.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 import sys
 
 from . import cones, fans, monoids, morphisms, rounding, snc
-from .lattice import memo, primitive
 
 __all__ = [
     "main",
@@ -111,32 +113,6 @@ def _cone_parts(obj, where="cone"):
     return rank, cones._checked(rank, rays + lineality + flipped)
 
 
-@memo
-def _cones(parts):
-    """The cones of a tuple of checked ``(rank, generators)`` pairs, in
-    order.  Built by descending generator count, a cone whose primitive
-    generators are the generating vectors of a face of a cone built before
-    it is read from that cone's face lattice; any other takes a pass."""
-    keys = [(d, frozenset(primitive(v) for v in gens if any(v)))
-            for d, gens in parts]
-    known, unwalked = {}, []
-    for i in sorted(range(len(parts)), key=lambda i: -len(keys[i][1])):
-        d, gens = key = keys[i]
-        while key not in known:
-            parent = next(
-                (p for p in unwalked if p[0] == d and gens <= p[1]), None)
-            if parent is None:
-                c = cones.RationalCone(*parts[i])
-                vectors = frozenset(c.generating_vectors())
-                known[key] = known[d, vectors] = c
-                unwalked.append((d, vectors, c))
-            else:
-                unwalked.remove(parent)
-                for f in cones.faces(parent[2]):
-                    known.setdefault((d, frozenset(f.generating_vectors())), f)
-    return tuple(known[k] for k in keys)
-
-
 def cone_to_json(c):
     return {
         "ambient_rank": c.ambient_rank,
@@ -162,7 +138,7 @@ def fan_from_json(obj):
     rank, listed = _read(obj, "fan",
                          ("ambient_rank", _as_int, "fan ambient_rank"),
                          ("cones", _as_array, "fan cones"))
-    return fans.Fan(rank, _cones(tuple(_cone_parts(c) for c in listed)))
+    return fans.Fan(rank, cones._cones(tuple(_cone_parts(c) for c in listed)))
 
 
 def fanmon_from_json(obj, where="fan of monoids"):
@@ -171,7 +147,7 @@ def fanmon_from_json(obj, where="fan of monoids"):
     # Each entry's cone is checked before its monoid, as if built in turn.
     charts = [_read(e, "fan entry", ("cone", _cone_parts, "cone"),
                     ("monoid", monoid_from_json, "monoid")) for e in entries]
-    cs = _cones(tuple(parts for parts, _ in charts))
+    cs = cones._cones(tuple(parts for parts, _ in charts))
     return fans.FanOfMonoids(rank, tuple(zip(cs, (m for _, m in charts))))
 
 
@@ -604,48 +580,44 @@ _VERBS = {
 }
 
 
-@memo
-def _parser():
-    """The one command-line parser, built on first use: reading a command
-    line does not change it."""
-    parser = argparse.ArgumentParser(
-        prog="torolog",
-        description="Exact computations with toric monoids, cones, fans, "
-        "and the roundings\nof their log structures.",
-        epilog="verbs:\n"
-        + "\n".join(
-            f"  {group + ' ' + verb:<17}{line}"
-            for (group, verb), (line, _) in sorted(_VERBS.items())
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "group", metavar="group", choices=sorted({g for g, _ in _VERBS})
-    )
-    parser.add_argument("verb")
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON instead of a text table")
-    parser.add_argument("--input", metavar="PATH",
-                        help="read the JSON payload from PATH (default: stdin)")
-    parser.add_argument("--strict-complex", action="store_true",
-                        help="snc verbs: reject complexes that are not closed "
-                        "under subsets instead of completing them")
-    return parser
+# The one command-line parser, built at import: reading a command line does
+# not change it.
+_PARSER = argparse.ArgumentParser(
+    prog="torolog",
+    description="Exact computations with toric monoids, cones, fans, "
+    "and the roundings\nof their log structures.",
+    epilog="verbs:\n"
+    + "\n".join(
+        f"  {group + ' ' + verb:<17}{line}"
+        for (group, verb), (line, _) in sorted(_VERBS.items())
+    ),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+_PARSER.add_argument(
+    "group", metavar="group", choices=sorted({g for g, _ in _VERBS})
+)
+_PARSER.add_argument("verb")
+_PARSER.add_argument("--json", action="store_true",
+                     help="emit machine-readable JSON instead of a text table")
+_PARSER.add_argument("--input", metavar="PATH",
+                     help="read the JSON payload from PATH (default: stdin)")
+_PARSER.add_argument("--strict-complex", action="store_true",
+                     help="snc verbs: reject complexes that are not closed "
+                     "under subsets instead of completing them")
 
 
 def _parse(argv):
     """The handler and arguments of one command line; a usage error exits 2
-    through ``parser.error``."""
-    parser = _parser()
-    args = parser.parse_args(argv)
+    through ``_PARSER.error``."""
+    args = _PARSER.parse_args(argv)
     row = _VERBS.get((args.group, args.verb))
     if row is None:
         verbs = ", ".join(repr(v) for g, v in sorted(_VERBS) if g == args.group)
-        parser.error(
+        _PARSER.error(
             f"argument verb: invalid choice: {args.verb!r} (choose from {verbs})"
         )
     if args.strict_complex and args.group != "snc":
-        parser.error("unrecognized arguments: --strict-complex")
+        _PARSER.error("unrecognized arguments: --strict-complex")
     return row[1], args
 
 
@@ -687,7 +659,16 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}", file=sys.stderr)
         return 3
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Whatever is left unwritten goes to
+        # the null device, so the flush at shutdown cannot fail again.
+        import os
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -15,11 +15,11 @@ every cone is built with a spanning set of its dual.  Construction gets it
 from one pass over the generators; the dual of a cone gets the cone's own
 generators; a face gets its parent's dual and the negated facet normals
 tight on it; an intersection gets both duals.  Duals, faces and duals of
-duals therefore cost no pass, and intersection costs one.  The fan readers
-of the command line take each listed face of a listed cone from that cone's
-face lattice, so a listed atlas costs one pass.  All arithmetic is in
-integers.  Canonical forms, duals, dimensions and face lattices are memoized
-by value.
+duals therefore cost no pass, and intersection costs one.  ``_cones``,
+which builds the cones of the command line's fan readers, takes each listed
+face of a listed cone from that cone's face lattice, so a listed atlas costs
+one pass.  All arithmetic is in integers.  Canonical forms, duals,
+dimensions, face lattices and the readers' cones are memoized by value.
 """
 
 from __future__ import annotations
@@ -321,6 +321,32 @@ def faces(c: RationalCone) -> tuple[RationalCone, ...]:
     # Faces share the lineality and differ in their rays, so keys never tie.
     keyed.sort(key=lambda kf: kf[0])
     return tuple(f for _, f in keyed)
+
+
+@memo
+def _cones(parts):
+    """The cones of a tuple of checked ``(rank, generators)`` pairs, in
+    order.  Built by descending generator count, a cone whose primitive
+    generators are the generating vectors of a face of a cone built before
+    it is read from that cone's face lattice; any other takes a pass."""
+    keys = [(d, frozenset(primitive(v) for v in gens if any(v)))
+            for d, gens in parts]
+    known, unwalked = {}, []
+    for i in sorted(range(len(parts)), key=lambda i: -len(keys[i][1])):
+        d, gens = key = keys[i]
+        while key not in known:
+            parent = next(
+                (p for p in unwalked if p[0] == d and gens <= p[1]), None)
+            if parent is None:
+                c = RationalCone(*parts[i])
+                vectors = frozenset(c.generating_vectors())
+                known[key] = known[d, vectors] = c
+                unwalked.append((d, vectors, c))
+            else:
+                unwalked.remove(parent)
+                for f in faces(parent[2]):
+                    known.setdefault((d, frozenset(f.generating_vectors())), f)
+    return tuple(known[k] for k in keys)
 
 
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:

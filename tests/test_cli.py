@@ -106,6 +106,25 @@ def test_help_keeps_each_verb_line_when_docstrings_are_stripped():
         assert f"  {group + ' ' + verb:<17}{help_line}" in lines
 
 
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path, capsys):
+    # The reader closes the pipe at once.  The text of the 130-chart
+    # parabola atlas is more than a pipe holds, so writing it fails however
+    # late the pipe is closed; the verb still exits with its own code.
+    parabola = {"ambient_rank": 3,
+                "generators": [[t, t * t, 1] for t in range(64)]}
+    argv = ["fanmon", "atlas", "--input", write_payload(tmp_path, parabola)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torolog.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert proc.returncode == main(argv) == 0
+    assert len(capsys.readouterr()[0]) > 1 << 16
+
+
 def test_unknown_verb_is_rejected_with_usage(capsys):
     code = main(["cone", "frobnicate"])
     err = capsys.readouterr()[1]

@@ -3,9 +3,10 @@
 A ``torolog`` run imports the package once per payload, so the import
 should not pull in heavy standard modules it does not use, and it should
 leave every module in place for the benchmark tracer, which must find every
-name it wraps.  Each module but ``cli`` and ``lattice`` runs on first use,
-so a verb runs only the modules it needs.  Each check runs in a fresh
-interpreter, so the modules this test process loaded do not count.
+name it wraps.  Each library module runs on first use, and importing the
+CLI runs none of them, so a verb runs only the modules it needs.  Each
+check runs in a fresh interpreter, so the modules this test process loaded
+do not count.
 No module imports a name it never uses, so a deletion leaves no dead import
 behind, and no two refusals share a message, so each check is made in one
 place.  Each public name is declared once, in its module's ``__all__``, and
@@ -231,12 +232,26 @@ RUN = (
 )
 
 
-def test_importing_the_package_and_cli_runs_only_the_lattice():
+def test_importing_the_package_and_cli_runs_no_library_module():
     out = run_fresh("import torolog, torolog.cli\n" + RUN)
-    assert out == "['lattice']\n"
+    assert out == "[]\n"
 
 
-def test_reading_the_cli_from_the_package_runs_only_the_lattice():
+def test_the_help_of_a_fresh_command_line_runs_no_library_module():
+    # ``python -m`` runs the module through ``runpy`` as ``__main__``.
+    out = run_fresh(
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['torolog', '--help']\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as help:\n"
+        "    try:\n"
+        "        runpy.run_module('torolog.cli', run_name='__main__')\n"
+        "    except SystemExit as e:\n"
+        "        assert e.code == 0 and 'verbs:' in help.getvalue()\n" + RUN
+    )
+    assert out == "[]\n"
+
+
+def test_reading_the_cli_from_the_package_runs_no_library_module():
     # The import system first asks the package for ``cli`` as an attribute;
     # no module declares it, so the answer runs none of them.
     out = run_fresh(
@@ -244,7 +259,7 @@ def test_reading_the_cli_from_the_package_runs_only_the_lattice():
         "from torolog import cli\n"
         "assert not hasattr(torolog, '_private') and cli.main\n" + RUN
     )
-    assert out == "['lattice']\n"
+    assert out == "[]\n"
 
 
 def run_golden(*argvs, report=RUN):

@@ -3,7 +3,8 @@
 The memos are keyed by argument values, so two separately built but equal
 monoids or cones share one cached result.  These tests check that public
 entry points still take plain lists, that every memo is bounded by the one
-size constant, and that cold and warm calls agree on a seeded corpus.
+size constant and lives in a library module, not the command line, and that
+cold and warm calls agree on a seeded corpus.
 """
 
 import random
@@ -27,12 +28,16 @@ from torolog.lattice import (
 from torolog.monoids import ToricMonoid, _face_index, faces, ghost, saturate
 from torolog.rounding import fiber_structure, rounding_report
 
-MEMOS = [
-    obj
-    for module in (lattice, cones, monoids, fans, cli)
-    for obj in vars(module).values()
-    if hasattr(obj, "cache_clear")
-]
+def memos(*modules):
+    return [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear")
+    ]
+
+
+MEMOS = memos(lattice, cones, monoids, fans)
 
 
 def clear_memos():
@@ -50,9 +55,15 @@ def test_every_memo_is_bounded_by_the_one_size_constant():
         "_hnf", "_snf", "_canonical_form", "dual_cone", "exponent_cone",
         "faces", "gp", "_gp_matrix", "_splitting", "saturate",
         "_validated", "dim", "_face_index", "ghost",
-        "_perp_face", "_cover",
+        "_perp_face", "_cover", "_cones",
     }
     assert all(fn.cache_info().maxsize == MEMO_SIZE for fn in MEMOS)
+
+
+def test_the_command_line_keeps_no_memo():
+    # The CLI reads, dispatches and renders; what it reuses is memoized in
+    # the library modules, which ``clear_memos`` clears.
+    assert memos(cli) == []
 
 
 def test_instances_carry_no_cache_slots():

@@ -13,13 +13,12 @@ from conftest import random_cone
 from test_fans import seeded_atlases, seeded_normal_fans_of_monoids
 from torolog.cli import (
     _cone_parts,
-    _cones,
     cone_to_json,
     fan_from_json,
     fanmon_from_json,
     fanmon_to_json,
 )
-from torolog.cones import RationalCone, dual_cone, faces
+from torolog.cones import RationalCone, _cones, dual_cone, faces
 from torolog.fans import Fan, FanOfMonoids
 from torolog.monoids import ToricMonoid
 
