@@ -359,18 +359,13 @@ def _cmd_monoid_saturate(payload, args):
 
 
 def _cmd_monoid_faces(payload, args):
-    g = monoid_from_json(payload)
-    complement = {
-        p.face.generator_indices: p.complement_indices
-        for p in monoids.prime_ideals(g)
-    }
     rows = [
         {
-            "indices": list(f.generator_indices),
-            "generators": _matrix_out(f.monoid.generators),
-            "prime_complement": list(complement[f.generator_indices]),
+            "indices": list(p.face.generator_indices),
+            "generators": _matrix_out(p.face.monoid.generators),
+            "prime_complement": list(p.complement_indices),
         }
-        for f in monoids.faces(g)
+        for p in monoids.prime_ideals(monoid_from_json(payload))
     ]
     columns = (_INDEX, ("gen indices", "indices", _joined),
                ("generators", "generators", _vecs),

@@ -55,9 +55,10 @@ def _dual_description(d, constraints):
     """Generator form of ``{y in R^d : <g, y> >= 0 for every g}``.
 
     Returns ``(lineality_basis, extreme_rays)`` as lists of integer vectors.
-    Incremental double description, starting from the full space.  While some
-    current lineality vector pairs nonzero with the incoming constraint, the
-    space pivots: that vector (signed positive against the constraint)
+    Incremental double description, starting from the full space; each ray's
+    and lineality vector's pairing with a constraint is computed once.  While
+    some current lineality vector pairs nonzero with the incoming constraint,
+    the space pivots: that vector (signed positive against the constraint)
     becomes a ray and everything else is projected into the constraint
     hyperplane.  Otherwise the classical plus/zero/minus step runs, and a
     positive/negative ray pair spawns a combination only when adjacent —
@@ -66,46 +67,38 @@ def _dual_description(d, constraints):
     """
     lin = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     rays = []  # (vector, frozenset of indices of constraints the ray is tight on)
-    processed = 0
+    idx = 0  # constraints processed so far
     for g in constraints:
         g = tuple(g)
         if not any(g):
             continue
-        idx = processed
-        pos = next((k for k, v in enumerate(lin) if pairing(g, v)), None)
+        paired = [(pairing(g, r), r, t) for r, t in rays]
+        values = [pairing(g, v) for v in lin]
+        pos = next((k for k, a in enumerate(values) if a), None)
         if pos is not None:
-            v0 = lin.pop(pos)
-            if pairing(g, v0) < 0:
-                v0 = _neg(v0)
-            a = pairing(g, v0)
-            lin = [
-                w
-                if not pairing(g, w)
-                else primitive(
-                    tuple(a * wi - pairing(g, w) * vi for wi, vi in zip(w, v0))
-                )
-                for w in lin
-            ]
-            new_rays = []
-            for r, tight in rays:
-                c = pairing(g, r)
-                if c == 0:
-                    new_rays.append((r, tight | {idx}))
-                else:
-                    proj = tuple(a * ri - c * vi for ri, vi in zip(r, v0))
-                    if any(proj):
-                        new_rays.append((primitive(proj), tight | {idx}))
+            a, v0 = values.pop(pos), lin.pop(pos)
+            if a < 0:
+                a, v0 = -a, _neg(v0)
+            lin = [primitive(tuple(a * wi - c * vi for wi, vi in zip(w, v0)))
+                   if c else w for c, w in zip(values, lin)]
+            rays = []
+            for c, r, tight in paired:
+                if c:
+                    r = tuple(a * ri - c * vi for ri, vi in zip(r, v0))
+                    if not any(r):
+                        continue
+                    r = primitive(r)
+                rays.append((r, tight | {idx}))
             # The pivot vector came from the old lineality, so it is tight on
             # every constraint processed before this one and on nothing else.
-            new_rays.append((v0, frozenset(range(idx))))
-            rays = new_rays
+            rays.append((v0, frozenset(range(idx))))
         else:
-            plus = [(r, t) for r, t in rays if pairing(g, r) > 0]
-            zero = [(r, t | {idx}) for r, t in rays if pairing(g, r) == 0]
-            minus = [(r, t) for r, t in rays if pairing(g, r) < 0]
+            plus = [(c, r, t) for c, r, t in paired if c > 0]
+            zero = [(r, t | {idx}) for c, r, t in paired if not c]
+            minus = [(c, r, t) for c, r, t in paired if c < 0]
             combos = []
-            for p, tp in plus:
-                for n, tn in minus:
+            for cp, p, tp in plus:
+                for cn, n, tn in minus:
                     common = tp & tn
                     # Adjacent: the face tight on common has dimension
                     # len(lin) + 2, so common has rank d - len(lin) - 2.
@@ -113,13 +106,10 @@ def _dual_description(d, constraints):
                         common <= tq for q, tq in rays if q != p and q != n
                     )
                     if adjacent:
-                        w = tuple(
-                            pairing(g, p) * ni - pairing(g, n) * pi
-                            for pi, ni in zip(p, n)
-                        )
+                        w = tuple(cp * ni - cn * pi for pi, ni in zip(p, n))
                         combos.append((primitive(w), common | {idx}))
-            rays = plus + zero + combos
-        processed += 1
+            rays = [(r, t) for _, r, t in plus] + zero + combos
+        idx += 1
     return lin, [r for r, _ in rays]
 
 
@@ -127,21 +117,26 @@ def _normal_form(d, gens, dual):
     """``(rays, lineality)`` of the cone spanned by ``gens``, given vectors
     ``dual`` that span its dual cone.
 
-    The lineality space is where every dual vector vanishes.  A face is cut
-    out by the dual vectors vanishing on it, so the face spanned by a
-    generator is named by its tight set, and smaller faces have larger tight
-    sets.  A generator off the lineality space therefore spans an extreme ray
-    exactly when no other generator off it has a strictly larger tight set
-    (Fukuda-Prodon, *Double description method revisited*, 1996).
+    The lineality space is where every dual vector vanishes.  A sum of
+    generators lies there only when each of its terms does, so the space is
+    spanned by the generators tight on every dual vector, and is zero (no
+    kernel to factor) when no generator is.  A face is cut out by the dual
+    vectors vanishing on it, so the face spanned by a generator is named by
+    its tight set, and smaller faces have larger tight sets.  A generator off
+    the lineality space therefore spans an extreme ray exactly when no other
+    generator off it has a strictly larger tight set (Fukuda-Prodon, *Double
+    description method revisited*, 1996).
     """
-    if dual:
-        lineality = hnf_basis(kernel_basis(tuple(dual)))
-    else:
-        lineality = mat_identity(d)
     tight = [
         frozenset(i for i, f in enumerate(dual) if not pairing(f, g)) for g in gens
     ]
     proper = {t for t in tight if len(t) < len(dual)}
+    if not dual:
+        lineality = mat_identity(d)
+    elif any(len(t) == len(dual) for t in tight):
+        lineality = hnf_basis(kernel_basis(tuple(dual)))
+    else:
+        lineality = ()
     rays = set()
     for g, t in zip(gens, tight):
         if t in proper and not any(t < u for u in proper):

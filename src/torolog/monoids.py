@@ -317,7 +317,8 @@ def _face_with_indices(g: ToricMonoid, indices):
 
 
 def prime_ideals(g: ToricMonoid) -> tuple:
-    """One prime ideal per face: the set of generators off that face."""
+    """One prime ideal per face, in the order of :func:`faces`: the set of
+    generators off that face."""
     out = []
     all_idx = range(len(g.generators))
     for f in faces(g):

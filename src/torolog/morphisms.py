@@ -198,21 +198,11 @@ def apply_to_point(mu, g2: ToricMonoid, p):
         # A sum lies on a face exactly when each generator in it does.
         if all(j in f1.generator_indices for j, c in enumerate(witness) if c):
             support.append(i)
-    f2 = _face_with_indices(g2, tuple(support))
-    coords, angle = [], []
-    if f2 is not None:
-        coords = [
-            _coordinates(f1.monoid, mat_vec(mu, b)) for b in gp(f2.monoid)
-        ]
-        rounding = isinstance(p, RoundingPoint)
-        angle = [_angle(p, mat_vec(mu, b))
-                 for b in gp(g2 if rounding else f2.monoid)]
     # A monoid map pulls the support face back to a face, and carries that
     # face's group and the whole group into the point's.
-    if f2 is None or None in coords + angle:  # pragma: no cover
-        raise ValueError(
-            "the monoid map does not carry the preimage of the support face "
-            "and the source group into the point's groups"
-        )
+    f2 = _face_with_indices(g2, tuple(support))
+    coords = [_coordinates(f1.monoid, mat_vec(mu, b)) for b in gp(f2.monoid)]
+    group = g2 if isinstance(p, RoundingPoint) else f2.monoid
+    angle = [_angle(p, mat_vec(mu, b)) for b in gp(group)]
     radial = [sum(c * x for c, x in zip(cs, p.radial_log)) for cs in coords]
     return type(p)(g2, f2, radial, angle)

@@ -128,10 +128,10 @@ def milnor_stratum_fiber(multiplicities) -> FiberReport:
     column at the closed point of the free monoid, read off in closed form:
     the lattice modulo one vector of content ``g`` is ``Z^(k-1) x Z/g``.
     """
-    ms = tuple(multiplicities)
+    ms = tuple(map(_integral, multiplicities))
     if not ms:
         raise ValueError("at least one multiplicity is required")
-    if any(not isinstance(m, int) or m < 1 for m in ms):
+    if any(m < 1 for m in ms):
         raise ValueError("multiplicities must be positive integers")
     g = math.gcd(*ms)
     return FiberReport.of(

@@ -231,6 +231,22 @@ def test_an_atlas_and_its_rounding_find_each_face_and_ghost_once(
         assert report.failures == () and len(rows) == 14
 
 
+def test_an_atlas_its_validation_and_its_rounding_factor_no_kernel(
+    monkeypatch,
+):
+    # Every cone the pipeline puts in normal form is sharp, and no generator
+    # of a sharp cone is tight on every dual vector, so no kernel is factored.
+    def pipeline():
+        atlas = affine_atlas(HEXAGON)
+        return validate_fan_of_monoids(atlas), rounding_report(atlas)
+
+    calls, (report, rows) = count_calls(
+        monkeypatch, lattice, "kernel_basis", pipeline
+    )
+    assert calls == 0
+    assert report.failures == () and len(rows) == 14
+
+
 def test_validating_an_affine_atlas_intersects_no_cones(monkeypatch):
     # Every cone of an atlas is a face of the one maximal cone.
     calls, report = count_calls(

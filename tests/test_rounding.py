@@ -42,7 +42,7 @@ from torolog.rounding import (
     strict_restriction_check,
     tau,
 )
-from torolog.snc import milnor_stratum_fiber
+from torolog.snc import DualComplex, milnor_stratum_fiber
 
 NN = ToricMonoid(1, ((1,),))
 NN2 = ToricMonoid(2, ((1, 0), (0, 1)))
@@ -510,6 +510,16 @@ def test_milnor_fiber_rejects_bad_multiplicities():
         milnor_stratum_fiber((2, 0))
     with pytest.raises(ValueError):
         milnor_stratum_fiber((-1,))
+
+
+def test_milnor_fiber_reads_multiplicities_as_the_dual_complex_does():
+    # One integrality policy in the module: an integral float is read as
+    # its integer, anything else is refused with the lattice's message.
+    assert milnor_stratum_fiber((2.0, 4)) == milnor_stratum_fiber((2, 4))
+    dc = DualComplex(2, 2, [(0, 1)], (2.0, 4), complete=True)
+    assert dc.multiplicities == (2, 4)
+    with pytest.raises(ValueError, match="^'x' is not an integer$"):
+        milnor_stratum_fiber(("x",))
 
 
 def test_milnor_components_match_euclid_gcd():
