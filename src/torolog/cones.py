@@ -83,11 +83,9 @@ def _dual_description(d, constraints):
                    if c else w for c, w in zip(values, lin)]
             rays = []
             for c, r, tight in paired:
+                # Never zero: r > 0 on some processed constraint, where v0 is 0.
                 if c:
-                    r = tuple(a * ri - c * vi for ri, vi in zip(r, v0))
-                    if not any(r):
-                        continue
-                    r = primitive(r)
+                    r = primitive(tuple(a * ri - c * vi for ri, vi in zip(r, v0)))
                 rays.append((r, tight | {idx}))
             # The pivot vector came from the old lineality, so it is tight on
             # every constraint processed before this one and on nothing else.

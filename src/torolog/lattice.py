@@ -328,26 +328,28 @@ class AbelianGroupInvariants:
         return not self.torsion
 
 
-def quotient_invariants(ambient_rank: int, columns: IntMat) -> AbelianGroupInvariants:
-    """Invariants of Z^ambient_rank modulo the span of the matrix columns.
+def _quotient(k: int, columns: IntMat):
+    """Z^k modulo the span of the columns of a ``k``-row matrix: its
+    invariants, the rows onto its free summand, and ``(row, order)`` per
+    torsion summand.  With ``u A v = S`` the Smith form, row ``i`` of ``u``
+    maps onto the ``i``-th summand; nonzero entries of ``S`` come first,
+    each above 1 is an invariant factor and each 1 kills its summand."""
+    s, u, _ = snf(columns)
+    diag = [s[i][i] for i in range(min(k, len(s[0]) if s else 0))]
+    r = sum(1 for d in diag if d)
+    torsion = [(u[i], diag[i]) for i in range(r) if diag[i] > 1]
+    invariants = AbelianGroupInvariants(k - r, tuple(d for _, d in torsion))
+    return invariants, u[r:], torsion
 
-    The matrix is given by rows (so it has ``ambient_rank`` rows and one
-    column per subgroup generator).  Reading the Smith diagonal: each entry
-    > 1 is an invariant factor, each 1 kills a free generator, and the free
-    rank is whatever the nonzero diagonal does not account for.
-    """
+
+def quotient_invariants(ambient_rank: int, columns: IntMat) -> AbelianGroupInvariants:
+    """Invariants of Z^ambient_rank modulo the span of the matrix columns;
+    the matrix is given by rows, one per ambient coordinate."""
     ambient_rank = _integral(ambient_rank)
     columns = tuple(tuple(map(_integral, row)) for row in columns)
     if len(columns) != ambient_rank:
         raise ValueError("matrix must have one row per ambient coordinate")
-    s, _, _ = snf(columns)
-    ncols = len(s[0]) if s else 0
-    diag = [s[i][i] for i in range(min(ambient_rank, ncols))]
-    nonzero = [d for d in diag if d]
-    return AbelianGroupInvariants(
-        rank=ambient_rank - len(nonzero),
-        torsion=tuple(d for d in nonzero if d > 1),
-    )
+    return _quotient(ambient_rank, columns)[0]
 
 
 def pairing(w: IntVec, m: IntVec) -> int:

@@ -15,6 +15,7 @@ from .lattice import (
     AbelianGroupInvariants,
     IntMat,
     _integral,
+    _quotient,
     _rank,
     hnf_basis,
     mat_identity,
@@ -453,13 +454,10 @@ def localize(g: ToricMonoid, f: MonoidFace) -> ToricMonoid:
 @memo
 def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
     """The quotient of the generated group by the face's group, with the
-    images of all generators in free/torsion coordinates.
-
-    With ``u F v = S`` the Smith form of the face generators' coordinates
-    ``F``, row ``i`` of ``u`` maps the generated group onto the ``i``-th
-    summand of the quotient, so only the rows with Smith entry 0 (free) or
-    above 1 (torsion) are applied.  Memoized by value: the atlas, its
-    strata and the fibers of one monoid share each face's ghost.
+    images of all generators in free/torsion coordinates, read from the
+    Smith form of the face generators' coordinates (``_quotient``).
+    Memoized by value: the atlas, its strata and the fibers of one monoid
+    share each face's ghost.
     """
     _require_face(g, f)
     k = len(gp(g))
@@ -467,13 +465,7 @@ def ghost(g: ToricMonoid, f: MonoidFace) -> GhostReport:
     cols = tuple(
         tuple(coords[j][i] for j in f.generator_indices) for i in range(k)
     )
-    s, u, _ = snf(cols)
-    # Nonzero Smith entries come first.
-    diag = [s[i][i] for i in range(min(k, len(f.generator_indices)))]
-    r = sum(1 for dv in diag if dv)
-    free_rows = u[r:]
-    torsion = [(u[i], diag[i]) for i in range(r) if diag[i] > 1]
-    invariants = AbelianGroupInvariants(k - r, tuple(dv for _, dv in torsion))
+    invariants, free_rows, torsion = _quotient(k, cols)
     images = tuple(
         (
             tuple(pairing(row, c) for row in free_rows),

@@ -19,7 +19,6 @@ from numbers import Rational
 
 from .fans import FanOfMonoids, strata
 from .lattice import (
-    _int_rows,
     hnf,
     mat_identity,
     quotient_invariants,
@@ -103,6 +102,14 @@ def _interpret_radius(r):
     if not math.isfinite(value) or value < 0:
         raise ValueError("radii must be finite and nonnegative")
     return value
+
+
+def _log(r):
+    """``math.log(r)``, also of an exact radius beyond the float range."""
+    try:
+        return math.log(r)
+    except (OverflowError, ValueError):
+        return math.log(r.numerator) - math.log(r.denominator)
 
 
 def _solving_combinations(rows, k):
@@ -221,7 +228,7 @@ def encode_hom(g: ToricMonoid, images) -> RoundingPoint:
 
     # Radial part: same interpolation, with logarithms over the face group.
     face_coords = _generator_coordinates(face.monoid)
-    logs = tuple(math.log(float(radii[i])) for i in support)
+    logs = tuple(_log(radii[i]) for i in support)
     rho_combos = _solving_combinations(face_coords, len(gp(face.monoid)))
     rho = tuple(float(_combine(c, logs)) for c in rho_combos)
     for coords, target in zip(face_coords, logs):
@@ -331,7 +338,6 @@ def relative_fiber(mu_gp, f1: MonoidFace) -> FiberReport:
     widths = {len(row) for row in mu}
     if len(widths) > 1:
         raise ValueError("the matrix rows have unequal lengths")
-    mu = _int_rows(mu)
     phi = gp(f1.monoid)
     rows = tuple(
         tuple(b[i] for b in phi) + mu[i] for i in range(d1)

@@ -1,12 +1,31 @@
-"""Shared corpus generators and matrix oracles for the test suite.
+"""Shared corpus generators, matrix oracles and the in-process command line
+for the test suite.
 
 Plain functions rather than fixtures: the property tests want explicit seeded
 `random.Random` instances so every run exercises the same corpus.
 """
 
+import contextlib
+import io
 import random
+import sys
 
+from torolog.cli import main
 from torolog.lattice import IntMat
+
+
+def run_cli(argv, stdin):
+    """Run one ``torolog`` command in this process with ``stdin`` as its
+    input; return ``(exit code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def random_cone(rng: random.Random, rank: int):

@@ -2,7 +2,9 @@
 
 Every verb is exercised at least once through main(), and the JSON readers
 are fed a mix of string-encoded and plain integer entries since both are
-accepted on input.
+accepted on input.  The help also runs in a fresh ``python -OO -m
+torolog.cli`` process, which strips docstrings: each verb keeps its help
+line.
 """
 
 import copy

@@ -10,16 +10,13 @@ this test is about shapes, not sizes.  The examples are derandomized, so
 every run tries the same payloads.
 """
 
-import contextlib
-import io
 import json
-import sys
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from torolog.cli import _VERBS, fanmon_to_json, main
+from conftest import run_cli
+from torolog.cli import _VERBS, fanmon_to_json
 from torolog.fans import affine_atlas
 from torolog.monoids import ToricMonoid
 
@@ -188,14 +185,6 @@ PAYLOADS = {
 }
 
 
-def run(argv, payload):
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
-
-
 def test_every_verb_is_fuzzed():
     assert set(PAYLOADS) == set(_VERBS)
 
@@ -213,7 +202,7 @@ def test_every_payload_ends_in_a_documented_exit(verb, data):
     flags = data.draw(st.sampled_from([[], ["--json"]]))
     if verb[0] == "snc":
         flags += data.draw(st.sampled_from([[], ["--strict-complex"]]))
-    code, err = run(list(verb) + flags, payload)
+    code, _, err = run_cli(list(verb) + flags, json.dumps(payload))
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     assert len(err.splitlines()) <= (1 if code else 0), err

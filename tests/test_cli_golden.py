@@ -3,18 +3,18 @@
 Every verb runs in text and ``--json`` mode on the payloads of
 ``test_cli.py``, a few edge cases (a rank-0 ghost, an empty complex) and the
 four malformed payloads that once ended in a traceback.  ``cli_golden.json`` holds what each run printed and returned;
-the test requires the same bytes.  When an output is meant to change,
+the test requires the same bytes, here and, in ``test_imports.py``, from a
+fresh interpreter.  When an output is meant to change,
 regenerate the file with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and name the change in CHANGES.md.
 """
 
-import contextlib
 import copy
-import io
 import json
 import pathlib
 import sys
 
+from conftest import run_cli
 from test_cli import (
     ATLAS_JSON,
     FULL_FAN_JSON,
@@ -25,7 +25,7 @@ from test_cli import (
     TORSION_JSON,
 )
 from torolog import cli, rounding
-from torolog.cli import _VERBS, cone_to_json, fanmon_to_json, main
+from torolog.cli import _VERBS, cone_to_json, fanmon_to_json
 from torolog.cones import RationalCone, faces
 from torolog.fans import Fan, affine_atlas, normal_fan_of_monoids
 from torolog.monoids import ToricMonoid
@@ -194,18 +194,9 @@ def cases():
     yield from FLAGGED
 
 
-def run(argv, payload):
-    """Run one command in-process; return (exit code, stdout, stderr)."""
-    stdin = payload if isinstance(payload, str) else json.dumps(payload)
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+def stdin_of(payload):
+    """The input of a run: a str payload goes as it is."""
+    return payload if isinstance(payload, str) else json.dumps(payload)
 
 
 def record():
@@ -213,7 +204,7 @@ def record():
         {"argv": argv, "payload": payload, "code": code,
          "stdout": out, "stderr": err}
         for argv, payload in cases()
-        for code, out, err in [run(argv, payload)]
+        for code, out, err in [run_cli(argv, stdin_of(payload))]
     ]
 
 
@@ -228,7 +219,7 @@ def test_every_run_matches_the_recorded_output():
         (argv, payload) for argv, payload in cases()
     ]
     for g in golden:
-        assert run(g["argv"], g["payload"]) == (
+        assert run_cli(g["argv"], stdin_of(g["payload"])) == (
             g["code"], g["stdout"], g["stderr"]
         ), g["argv"]
 
@@ -249,8 +240,7 @@ def _count_calls(monkeypatch, module, name, golden):
         calls.append(args)
         return original(*args, **kwargs)
 
-    stdins = [g["payload"] if isinstance(g["payload"], str)
-              else json.dumps(g["payload"]) for g in golden]
+    stdins = [stdin_of(g["payload"]) for g in golden]
     with monkeypatch.context() as m:
         for mod in [module] + list(sys.modules.values()):
             if mod is module or (
@@ -259,7 +249,7 @@ def _count_calls(monkeypatch, module, name, golden):
             ):
                 m.setattr(mod, name, counted)
         for g, stdin in zip(golden, stdins):
-            assert run(g["argv"], stdin) == (
+            assert run_cli(g["argv"], stdin) == (
                 g["code"], g["stdout"], g["stderr"]
             ), g["argv"]
     return len(calls)
@@ -290,22 +280,25 @@ def test_a_fault_while_rendering_is_an_internal_error(monkeypatch):
         return 0, {"x": 1}, ["a line", ((("x", 0, fail),), [(1,)])]
 
     monkeypatch.setitem(_VERBS, ("cone", "dual"), ("the dual cone", handler))
-    assert run(["cone", "dual"], QUADRANT_JSON) == (
+    quadrant = json.dumps(QUADRANT_JSON)
+    assert run_cli(["cone", "dual"], quadrant) == (
         3, "", "internal error: RuntimeError\n"
     )
-    assert run(["cone", "dual", "--json"], QUADRANT_JSON) == (
+    assert run_cli(["cone", "dual", "--json"], quadrant) == (
         0, '{\n  "x": 1\n}\n', ""
     )
 
 
 def test_strict_complex_outside_the_snc_verbs_is_a_usage_error():
-    code, out, err = run(["cone", "dual", "--strict-complex"], QUADRANT_JSON)
+    code, out, err = run_cli(
+        ["cone", "dual", "--strict-complex"], json.dumps(QUADRANT_JSON)
+    )
     assert (code, out) == (2, "")
     assert err.startswith("usage: torolog")
 
 
 def test_a_missing_verb_is_a_usage_error():
-    code, out, err = run(["cone"], QUADRANT_JSON)
+    code, out, err = run_cli(["cone"], json.dumps(QUADRANT_JSON))
     assert (code, out) == (2, "")
     assert err.startswith("usage: torolog")
 

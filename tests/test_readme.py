@@ -6,14 +6,11 @@ for a later ``--input FILE``; every other example's stdout must equal the
 lines that follow it in the README.
 """
 
-import contextlib
-import io
 import pathlib
 import re
 import shlex
-import sys
 
-from torolog.cli import main
+from conftest import run_cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,18 +44,11 @@ def run(command, files):
     if "--input" in argv:
         stdin = files[argv.pop(argv.index("--input") + 1)]
         argv.remove("--input")
-    out = io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out):
-            main(argv)
-    finally:
-        sys.stdin = saved
+    out = run_cli(argv, stdin)[1]
     if target is not None:
-        files[target] = out.getvalue()
+        files[target] = out
         return None
-    return out.getvalue()
+    return out
 
 
 def test_every_readme_example_prints_what_the_readme_shows():

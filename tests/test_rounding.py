@@ -119,6 +119,18 @@ def test_encode_solves_the_character_of_a_negative_point():
     assert abs(p.radial_log[0] - math.log(2.0)) < 1e-12
 
 
+def test_encode_takes_exact_radii_beyond_the_float_range():
+    # 10**400 overflows a float and 10**-400 underflows to zero.
+    for radius, sign in ((10**400, 1), (Fraction(1, 10**400), -1)):
+        p = encode_hom(NN, [(radius, 0)])
+        assert p.radial_log == pytest.approx((sign * 921.034,), abs=1e-3)
+    # Within the float range the logarithm is the float's, bit for bit.
+    rng = random.Random(0)
+    for _ in range(200):
+        r = Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30))
+        assert encode_hom(NN, [(r, 0)]).radial_log == (math.log(float(r)),)
+
+
 def test_encode_rejects_negative_radius_and_bad_unit():
     with pytest.raises(ValueError):
         encode_hom(NN, [(-1.0, 1)])
