@@ -29,7 +29,6 @@ from torolog.lattice import (
     _rank,
     hnf_basis,
     kernel_basis,
-    lattice_rank,
     mat_identity,
     memo,
     pairing,
@@ -251,7 +250,7 @@ def dim(c: RationalCone) -> int:
     has k extreme rays, so up to 3 rays add one dimension each."""
     if len(c.rays) <= 3:
         return len(c.lineality) + len(c.rays)
-    return lattice_rank(c.rays + c.lineality)
+    return len(hnf_basis(c.rays + c.lineality))
 
 
 def is_sharp(c: RationalCone) -> bool:

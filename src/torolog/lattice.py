@@ -68,7 +68,6 @@ __all__ = [
     "snf",
     "hnf_basis",
     "kernel_basis",
-    "lattice_rank",
     "solve_integer",
     "quotient_invariants",
     "pairing",
@@ -271,14 +270,6 @@ def kernel_basis(m: IntMat) -> tuple[IntVec, ...]:
     )
 
 
-def lattice_rank(m: IntMat) -> int:
-    """Rank of the column span (equivalently the row span) of ``m``."""
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    h, _ = hnf(m)
-    return sum(1 for j in range(cols) if any(h[i][j] for i in range(rows)))
-
-
 def solve_integer(m: IntMat, b: IntVec) -> IntVec | None:
     """One integer solution of ``m @ x == b``, or ``None`` if there is none.
 
@@ -322,10 +313,6 @@ class AbelianGroupInvariants:
     @property
     def torsion_order(self) -> int:
         return math.prod(self.torsion)
-
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
 
 
 def _quotient(k: int, columns: IntMat):

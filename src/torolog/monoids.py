@@ -34,7 +34,6 @@ __all__ = [
     "MonoidFace",
     "PrimeIdeal",
     "ToricMonoid",
-    "edge",
     "exponent_cone",
     "faces",
     "ghost",
@@ -264,11 +263,6 @@ def membership(g: ToricMonoid, m) -> "tuple | None":
         return False
 
     return tuple(witness) if search(0, m, pairing(w, m)) else None
-
-
-def edge(g: ToricMonoid) -> MonoidFace:
-    """The minimal face: the submonoid of units, which is a group."""
-    return faces(g)[0]
 
 
 @memo

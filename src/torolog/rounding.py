@@ -85,7 +85,10 @@ def _interpret_unit(u):
 
 
 def _radial_logs(values):
-    radial = tuple(float(x) for x in values)
+    try:
+        radial = tuple(float(x) for x in values)
+    except OverflowError:  # an integer or fraction beyond the float range
+        radial = (math.inf,)
     if not all(map(math.isfinite, radial)):
         raise ValueError("radial data must be finite")
     return radial
@@ -285,9 +288,14 @@ def evaluate_monomial(p, m):
     polar = isinstance(p, RoundingPoint)
     if coords is None and not polar:
         return 0j
-    radius = 0.0 if coords is None else math.exp(
-        sum(c * x for c, x in zip(coords, p.radial_log))
-    )
+    try:
+        radius = 0.0 if coords is None else math.exp(
+            sum(c * x for c, x in zip(coords, p.radial_log))
+        )
+    except OverflowError:
+        radius = math.inf
+    if not math.isfinite(radius):
+        raise ValueError(f"the radius of {m} at the point overflows a float")
     unit = cmath.exp(2j * math.pi * float(_normalize_angle(_angle(p, m))))
     return (radius, unit) if polar else radius * unit
 

@@ -1,5 +1,5 @@
-"""Shared corpus generators, matrix oracles and the in-process command line
-for the test suite.
+"""Shared corpus generators, oracles and the in-process command line for the
+test suite.
 
 Plain functions rather than fixtures: the property tests want explicit seeded
 `random.Random` instances so every run exercises the same corpus.
@@ -11,7 +11,8 @@ import random
 import sys
 
 from torolog.cli import main
-from torolog.lattice import IntMat
+from torolog.lattice import IntMat, hnf
+from torolog.monoids import MonoidFace, ToricMonoid, faces
 
 
 def run_cli(argv, stdin):
@@ -98,3 +99,18 @@ def det(m: IntMat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# Rank and the minimal face: the oracles for ``cones.dim`` and for the face
+# that ``monoids.faces`` lists first.
+def lattice_rank(m: IntMat) -> int:
+    """Rank of the column span (equivalently the row span) of ``m``."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    h, _ = hnf(m)
+    return sum(1 for j in range(cols) if any(h[i][j] for i in range(rows)))
+
+
+def edge(g: ToricMonoid) -> MonoidFace:
+    """The minimal face: the submonoid of units, which is a group."""
+    return faces(g)[0]

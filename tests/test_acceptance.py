@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from conftest import random_cone, random_monoid
+from conftest import edge, random_cone, random_monoid
 from test_fans import seeded_normal_fans
 from test_memo import clear_memos
 from test_monoids import brute_force_membership, witness_is_valid
@@ -31,7 +31,6 @@ from torolog.fans import (
 from torolog.lattice import mat_identity, solve_integer
 from torolog.monoids import (
     ToricMonoid,
-    edge,
     exponent_cone,
     faces,
     gp,

@@ -212,7 +212,8 @@ def test_an_atlas_and_its_rounding_find_each_face_and_ghost_once(
     # of each face all ask for the same 14 face correspondences, ghosts and
     # cone dimensions, so each is computed once, not once per caller.  Only
     # the two cones with more than three rays, the hexagon's exponent and
-    # weight cones, take a rank for their dimension.
+    # weight cones, take a rank for their dimension, each one ``hnf_basis``.
+    # The count also holds the one ``hnf_basis`` that ``gp(HEXAGON)`` makes.
     def pipeline():
         atlas = affine_atlas(HEXAGON)
         report = validate_fan_of_monoids(atlas)
@@ -224,7 +225,7 @@ def test_an_atlas_and_its_rounding_find_each_face_and_ghost_once(
 
     for module, name, expected in (
         (fans, "_perp_face_indices", 14), (lattice, "snf", 14),
-        (lattice, "lattice_rank", 2),
+        (cones, "hnf_basis", 3),
     ):
         calls, (report, rows) = count_calls(monkeypatch, module, name, pipeline)
         assert calls == expected, name

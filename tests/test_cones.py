@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_cone
+from conftest import lattice_rank, random_cone
 from torolog.cones import (
     RationalCone,
     _dual_description,
@@ -29,7 +29,7 @@ from torolog.cones import (
     is_sharp,
 )
 from torolog.lattice import (
-    hnf_basis, kernel_basis, lattice_rank, pairing, primitive,
+    hnf_basis, kernel_basis, pairing, primitive,
 )
 
 QUADRANT = RationalCone(2, ((1, 0), (0, 1)))

@@ -20,7 +20,6 @@ from torolog.lattice import (
     hnf,
     hnf_basis,
     kernel_basis,
-    lattice_rank,
     quotient_invariants,
     snf,
     solve_integer,
@@ -90,7 +89,6 @@ def test_lattice_functions_accept_lists_of_lists():
     assert snf(as_lists(m)) == snf(m)
     assert solve_integer(as_lists(m), [2, -6, 10]) == solve_integer(m, (2, -6, 10))
     assert kernel_basis(as_lists(m)) == kernel_basis(m)
-    assert lattice_rank(as_lists(m)) == lattice_rank(m)
     assert hnf_basis(as_lists(m)) == hnf_basis(m)
     assert quotient_invariants(3, as_lists(m)) == quotient_invariants(3, m)
 

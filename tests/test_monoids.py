@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import random_monoid
+from conftest import edge, random_monoid
 from torolog.cones import (
     RationalCone,
     _dual_description,
@@ -36,7 +36,6 @@ from torolog.monoids import (
     _require_face,
     _splitting,
     _triangulation,
-    edge,
     exponent_cone,
     faces,
     ghost,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat_mul, random_monoid
+from conftest import edge, mat_mul, random_monoid
 from test_fans import (
     broken_fans_of_monoids,
     maximal_cones,
@@ -28,7 +28,6 @@ from torolog.fans import (
 from torolog.lattice import mat_identity, mat_vec
 from torolog.monoids import (
     ToricMonoid,
-    edge,
     faces,
     gp,
     is_saturated,

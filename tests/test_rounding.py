@@ -14,13 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat_mul, random_monoid
+from conftest import edge, mat_mul, random_monoid
 from torolog.fans import FanStratum, affine_atlas
 from torolog.lattice import hnf, mat_identity, solve_integer
 from torolog.monoids import (
     ToricMonoid,
     _generator_coordinates,
-    edge,
     faces,
     ghost,
     gp,
@@ -673,10 +672,21 @@ FULL_NN = faces(NN)[-1]
      "angles must be real numbers measured in turns"),
     (lambda: RoundingPoint(NN, FULL_NN, (0.0,), (math.inf,)),
      "angles must be finite"),
+    # An integer radial log beyond the float range is no finite float.
     *[(lambda x=x, cls=cls: cls(NN, FULL_NN, (x,), (0,)),
        "radial data must be finite")
-      for x in (math.nan, math.inf, -math.inf)
+      for x in (math.nan, math.inf, -math.inf, 10**400)
       for cls in (RoundingPoint, ComplexPoint)],
+    # Exact radii beyond the float range, or a power of an in-range radius
+    # beyond it, give a monomial a modulus no float holds.
+    *[(lambda r=r, m=m: evaluate_monomial(encode_hom(NN, [(r, 0)]), m),
+       f"the radius of {m} at the point overflows a float")
+      for r, m in ((10**200, (2,)), (10**400, (1,)))],
+    # A finite radial log whose multiple is infinite: no float error is
+    # raised on the way, yet the radius is no finite float.
+    (lambda: evaluate_monomial(
+        RoundingPoint(NN, FULL_NN, (1e308,), (0,)), (3,)),
+     "the radius of (3,) at the point overflows a float"),
     (lambda: encode_hom(NN, [(1j, 0)]), "radii must be real numbers"),
     (lambda: encode_hom(NN, [(-1, 0)]), "radii must be nonnegative"),
     (lambda: RoundingPoint(NN, FULL_NN, (), (0,)),

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from torolog.monoids import ToricMonoid, edge
+from conftest import edge
+from torolog.monoids import ToricMonoid
 from torolog.rounding import fiber_structure, relative_fiber
 from torolog.snc import DualComplex, MilnorReport, StratumRow, link_report, milnor_report
 
